@@ -6,7 +6,7 @@ gate analogs, and a 2x2 complex-matrix representation usable as an
 independent cross-check.
 """
 
-from ._kernels import BLADE_NAMES, HAVE_NUMBA
+from ._kernels import BLADE_NAMES
 from .clusters import (
     LABELS,
     ByteSignature,

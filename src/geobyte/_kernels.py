@@ -1,14 +1,11 @@
-"""Geometric-product kernels over the 8 blade coefficients.
+"""The geometric-product kernel over the 8 blade coefficients.
 
-The blade multiplication table is built once by transposition counting,
-then products are pure table lookups.  The hot loops are compiled with
-numba when it is importable; set ``GEOBYTE_NO_NUMBA=1`` to force the
-pure-numpy path (the benchmark in benchmarks/ compares both).
+The blade multiplication table is derived once at import by
+transposition counting and stored as an (8, 8, 8) sign tensor; the
+product is a single numpy einsum over that tensor.
 """
 
 from __future__ import annotations
-
-import os
 
 import numpy as np
 
@@ -55,75 +52,20 @@ def _blade_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
     return sign, tuple(out)
 
 
-def _build_tables() -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    idx = np.zeros((8, 8), dtype=np.int64)
-    sgn = np.zeros((8, 8), dtype=np.float64)
+def _build_tensor() -> np.ndarray:
+    """T[i, j, k] = sign with blade_i * blade_j = sign * blade_k, else 0."""
     tensor = np.zeros((8, 8, 8), dtype=np.float64)
     for i, bi in enumerate(BLADE_TUPLES):
         for j, bj in enumerate(BLADE_TUPLES):
             s, res = _blade_product(bi, bj)
-            k = BLADE_INDEX[res]
-            idx[i, j] = k
-            sgn[i, j] = s
-            tensor[i, j, k] = s
-    return idx, sgn, tensor
+            tensor[i, j, BLADE_INDEX[res]] = s
+    tensor.setflags(write=False)
+    return tensor
 
 
-PROD_IDX, PROD_SGN, PROD_TENSOR = _build_tables()
-PROD_IDX.setflags(write=False)
-PROD_SGN.setflags(write=False)
-PROD_TENSOR.setflags(write=False)
+PROD_TENSOR = _build_tensor()
 
 
-def _gp_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+def gp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Geometric product of two 8-coefficient arrays."""
     return np.einsum("i,j,ijk->k", a, b, PROD_TENSOR)
-
-
-def _gp_batch_numpy(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    return np.einsum("ni,nj,ijk->nk", a, b, PROD_TENSOR)
-
-
-HAVE_NUMBA = False
-if not os.environ.get("GEOBYTE_NO_NUMBA"):
-    try:
-        from numba import njit
-
-        HAVE_NUMBA = True
-    except ImportError:
-        pass
-
-if HAVE_NUMBA:
-
-    @njit(cache=True)
-    def _gp_jit(a, b, idx, sgn):  # pragma: no cover - exercised via gp()
-        out = np.zeros(8)
-        for i in range(8):
-            ai = a[i]
-            if ai == 0.0:
-                continue
-            for j in range(8):
-                out[idx[i, j]] += sgn[i, j] * ai * b[j]
-        return out
-
-    @njit(cache=True)
-    def _gp_batch_jit(a, b, idx, sgn):  # pragma: no cover
-        n = a.shape[0]
-        out = np.zeros((n, 8))
-        for m in range(n):
-            for i in range(8):
-                ai = a[m, i]
-                if ai == 0.0:
-                    continue
-                for j in range(8):
-                    out[m, idx[i, j]] += sgn[i, j] * ai * b[m, j]
-        return out
-
-    def gp(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _gp_jit(a, b, PROD_IDX, PROD_SGN)
-
-    def gp_batch(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return _gp_batch_jit(a, b, PROD_IDX, PROD_SGN)
-
-else:
-    gp = _gp_numpy
-    gp_batch = _gp_batch_numpy

@@ -20,8 +20,23 @@ from .multivector import E0, Multivector
 
 Polarity = Literal["positive", "negative"]
 
+#: label -> polarity (+1 for P_i, -1 for N_i) of the paravector factor on
+#: axes 1, 2, 3, in definition order.  A is the all-positive corner; an
+#: overline (spelled "bar") swaps every factor's polarity.  The same triples
+#: are the labels' octants on the unit cube.
+POLARITIES: dict[str, tuple[int, int, int]] = {
+    "A": (1, 1, 1),
+    "B": (-1, 1, 1),
+    "C": (1, -1, 1),
+    "D": (1, 1, -1),
+    "Dbar": (-1, -1, 1),
+    "Cbar": (-1, 1, -1),
+    "Bbar": (1, -1, -1),
+    "Abar": (-1, -1, -1),
+}
+
 #: structure element labels in definition order
-LABELS: tuple[str, ...] = ("A", "B", "C", "D", "Dbar", "Cbar", "Bbar", "Abar")
+LABELS: tuple[str, ...] = tuple(POLARITIES)
 LABEL_INDEX: dict[str, int] = {l: i for i, l in enumerate(LABELS)}
 
 
@@ -52,22 +67,28 @@ N1 = paravector(1, "negative").value
 N2 = paravector(2, "negative").value
 N3 = paravector(3, "negative").value
 
-# Ordered triple products, one paravector per axis.  A is the all-positive
-# corner; an overline (spelled "bar") swaps every factor's polarity.
+_PAIRS = ((P1, N1), (P2, N2), (P3, N3))
+
+
+def _ordered_product(polarity: tuple[int, int, int]) -> Multivector:
+    """(P1|N1)(P2|N2)(P3|N3), one paravector per axis, in axis order."""
+    f1, f2, f3 = (p if s > 0 else n for (p, n), s in zip(_PAIRS, polarity))
+    return f1 * f2 * f3
+
+
 _STRUCTURE: dict[str, Multivector] = {
-    "A": P1 * P2 * P3,
-    "B": N1 * P2 * P3,
-    "C": P1 * N2 * P3,
-    "D": P1 * P2 * N3,
-    "Dbar": N1 * N2 * P3,
-    "Cbar": N1 * P2 * N3,
-    "Bbar": P1 * N2 * N3,
-    "Abar": N1 * N2 * N3,
+    label: _ordered_product(polarity) for label, polarity in POLARITIES.items()
 }
 
 
 def structure_element(label: str) -> Multivector:
-    """One of the eight primitive idempotents A..Abar."""
+    """One of the eight structure elements A..Abar.
+
+    They sum to e0 and are absorbed or annihilated one-sidedly by P3/N3,
+    but they are not idempotents: every product of two of them, squares
+    included, is a complex multiple z * S of a structure element with
+    z in {(+-1 +- i)/4}, i realized as e123.
+    """
     try:
         return _STRUCTURE[label]
     except KeyError:
@@ -163,9 +184,8 @@ class ByteSignature:
 
 def byte_signature_to_blade(s: ByteSignature) -> Multivector:
     """Evaluate the three-bit product (P1 +- N1)(P2 +- N2)(P3 +- N3)."""
-    pairs = ((P1, N1), (P2, N2), (P3, N3))
     signs = (s.s1, s.s2, s.s3)
-    factors = [p + n if sg > 0 else p - n for (p, n), sg in zip(pairs, signs)]
+    factors = [p + n if sg > 0 else p - n for (p, n), sg in zip(_PAIRS, signs)]
     return factors[0] * factors[1] * factors[2]
 
 

@@ -1,28 +1,20 @@
 """Unit-cube renderings of a multivector's structure coordinates.
 
-Canonical geometry: A at octant (+,+,+), B at (-,+,+), C at (+,-,+),
-D at (+,+,-), overlined labels antipodal.  Axis 1 points right, axis 2
-into the page, axis 3 up; both renderers use a fixed oblique
-projection so output is byte-deterministic.
+Canonical geometry: each label sits at the octant of its polarity
+triple (clusters.POLARITIES), so A is at (+,+,+) and overlined labels
+are antipodal.  Axis 1 points right, axis 2 into the page, axis 3 up;
+both renderers use a fixed oblique projection so output is
+byte-deterministic.
 """
 
 from __future__ import annotations
 
-from .clusters import LABELS, StructureCoords, to_structure_coords
+from .clusters import LABELS, POLARITIES, StructureCoords, to_structure_coords
 from .errors import DomainError
 from .multivector import Multivector
 
 #: label -> octant signs along (axis1, axis2, axis3)
-VERTEX_OCTANTS: dict[str, tuple[int, int, int]] = {
-    "A": (1, 1, 1),
-    "B": (-1, 1, 1),
-    "C": (1, -1, 1),
-    "D": (1, 1, -1),
-    "Dbar": (-1, -1, 1),
-    "Cbar": (-1, 1, -1),
-    "Bbar": (1, -1, -1),
-    "Abar": (-1, -1, -1),
-}
+VERTEX_OCTANTS: dict[str, tuple[int, int, int]] = POLARITIES
 
 _EDGES: tuple[tuple[str, str], ...] = tuple(
     sorted(

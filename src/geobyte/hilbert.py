@@ -23,6 +23,7 @@ Variance = Literal["contravariant", "covariant"]
 _ABSORB_TOL = 1e-12
 
 _E1 = Multivector.basis("e1")
+_E3 = Multivector.basis("e3")
 #: the two basis spinors of the positive contravariant ideal
 E1P3 = _E1 * P3
 E1N3 = _E1 * N3
@@ -101,18 +102,15 @@ def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spi
 
 def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     """The other basis blade with the same projection image in the ideal,
-    plus the relative sign (blade * proj = sign * partner * proj)."""
-    p = _projector(ideal)
-    image = Multivector.basis(blade) * p
-    for other in BLADE_NAMES:
-        if other == blade:
-            continue
-        o = Multivector.basis(other) * p
-        if o.approx_eq(image, _ABSORB_TOL):
-            return other, 1
-        if (-o).approx_eq(image, _ABSORB_TOL):
-            return other, -1
-    raise DomainError(f"no degeneracy partner for {blade!r} in the {ideal} ideal")
+    plus the relative sign (blade * proj = sign * partner * proj).
+
+    blade * e3 = s * partner for a single basis blade, and e3 * P3 = P3,
+    e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
+    """
+    flip = 1 if _projector(ideal) is P3 else -1
+    c = (Multivector.basis(blade) * _E3).coeffs
+    (k,) = c.nonzero()[0]
+    return BLADE_NAMES[k], flip * int(c[k])
 
 
 def spinor_pair(q: Quaternion) -> GeometricQubit:
@@ -205,12 +203,10 @@ def hadamard_regroup(s: Spinor) -> HadamardTerms:
 def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:
     """((e1+e3)/sqrt2 * P3, (e1-e3)/sqrt2 * P3): the quantum-style
     Hadamard basis, normed before projection."""
-    e1 = _E1
-    e3 = Multivector.basis("e3")
     s = 2.0 ** -0.5
     return (
-        Spinor((s * (e1 + e3)) * P3, "positive", "contravariant"),
-        Spinor((s * (e1 - e3)) * P3, "positive", "contravariant"),
+        Spinor((s * (_E1 + _E3)) * P3, "positive", "contravariant"),
+        Spinor((s * (_E1 - _E3)) * P3, "positive", "contravariant"),
     )
 
 

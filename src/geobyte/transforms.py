@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .clusters import LABELS, structure_element
+from .clusters import LABELS, structure_element, to_structure_coords
 from .errors import DomainError
 from .multivector import E0, Multivector
 
@@ -193,8 +193,10 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
     basis reflection.
 
     ``op`` is "point", a basis axis name ("e1".."e3") or a basis plane
-    name ("e12"/"e23"/"e13").  Computed by reflecting each element's
-    value and matching it against the table.
+    name ("e12"/"e23"/"e13").  Computed by reflecting each element and
+    reading its structure coordinates, which are exact (the sign matrix
+    has H @ H.T = 8 I): the image of a label is +-1 at its target and 0
+    elsewhere.
     """
     if op == "point":
         apply = reflect_point
@@ -207,19 +209,13 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
 
     perm: dict[str, tuple[str, int]] = {}
     for label in LABELS:
-        image = apply(structure_element(label))
-        for target in LABELS:
-            tv = structure_element(target)
-            if image.approx_eq(tv, 1e-12):
-                perm[label] = (target, 1)
-                break
-            if image.approx_eq(-tv, 1e-12):
-                perm[label] = (target, -1)
-                break
-        else:
+        coords = to_structure_coords(apply(structure_element(label))).values
+        hot = [i for i, v in enumerate(coords) if v != 0.0]
+        if len(hot) != 1 or abs(coords[hot[0]]) != 1.0:
             raise DomainError(
                 f"reflection {op!r} does not permute the structure elements"
             )
+        perm[label] = (LABELS[hot[0]], int(coords[hot[0]]))
     return perm
 
 

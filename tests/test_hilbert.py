@@ -97,6 +97,17 @@ def test_degeneracy_partners():
             assert degeneracy_partner(partner, ideal) == (blade, sign)
 
 
+def test_degeneracy_partner_matrix_oracle():
+    # blade * proj = sign * partner * proj, checked exactly on the matrix side
+    for ideal, proj in (("positive", P3), ("negative", N3)):
+        pm = to_matrix(proj)
+        for blade in BLADE_NAMES:
+            partner, sign = degeneracy_partner(blade, ideal)
+            assert partner != blade and sign in (1, -1)
+            assert to_matrix(E[blade]) * pm == sign * (to_matrix(E[partner]) * pm), (
+                blade, ideal)
+
+
 def test_spinor_validation():
     Spinor(P3, "positive", "contravariant")
     with pytest.raises(DomainError):

@@ -1,54 +1,14 @@
-"""Both product kernels (compiled and pure numpy) give identical
-results; the env-selected fallback loads correctly in a subprocess."""
-
-import subprocess
-import sys
+"""The derived product tensor is a signed permutation table."""
 
 import numpy as np
 
 from geobyte import _kernels
 
 
-def test_paths_agree_elementwise(rng):
-    for _ in range(200):
-        a, b = rng.standard_normal(8), rng.standard_normal(8)
-        assert np.array_equal(_kernels.gp(a, b), _kernels._gp_numpy(a, b))
-
-
-def test_batch_paths_agree(rng):
-    a = rng.standard_normal((64, 8))
-    b = rng.standard_normal((64, 8))
-    got = _kernels.gp_batch(a, b)
-    want = _kernels._gp_batch_numpy(a, b)
-    assert np.array_equal(got, want)
-    single = np.stack([_kernels.gp(a[i], b[i]) for i in range(a.shape[0])])
-    assert np.array_equal(got, single)
-
-
 def test_tables_consistent():
-    # the (8,8,8) tensor and the index/sign pair encode the same table
+    # every blade pair multiplies to exactly one blade, with sign +-1
     for i in range(8):
         for j in range(8):
-            k = _kernels.PROD_IDX[i, j]
-            assert _kernels.PROD_TENSOR[i, j, k] == _kernels.PROD_SGN[i, j]
-            assert np.count_nonzero(_kernels.PROD_TENSOR[i, j]) == 1
-
-
-def test_no_numba_env_flag():
-    code = (
-        "import numpy as np\n"
-        "from geobyte import _kernels\n"
-        "assert not _kernels.HAVE_NUMBA\n"
-        "rng = np.random.default_rng(7)\n"
-        "a, b = rng.standard_normal(8), rng.standard_normal(8)\n"
-        "assert np.array_equal(_kernels.gp(a, b), _kernels._gp_numpy(a, b))\n"
-        "print('ok')\n"
-    )
-    proc = subprocess.run(
-        [sys.executable, "-c", code],
-        capture_output=True,
-        text=True,
-        env={"GEOBYTE_NO_NUMBA": "1", "PATH": "/usr/bin:/bin"},
-    )
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "ok"
+            row = _kernels.PROD_TENSOR[i, j]
+            assert np.count_nonzero(row) == 1
+            assert np.abs(row).max() == 1.0

@@ -23,8 +23,10 @@ from geobyte import (
     rotate,
     structure_element,
     structure_permutation,
+    to_matrix,
 )
 from geobyte._kernels import BLADE_NAMES
+from geobyte.clusters import LABELS
 from geobyte.errors import DomainError
 
 from conftest import random_multivector, random_unit_quaternion
@@ -258,3 +260,23 @@ def test_structure_permutation_line():
     perm = structure_permutation("e1")
     assert perm["A"] == ("Bbar", 1)
     assert perm["B"] == ("Abar", 1)
+
+
+REFLECTIONS = {
+    "point": reflect_point,
+    **{n: (lambda m, n=n: reflect_line(m, E[n])) for n in ("e1", "e2", "e3")},
+    **{n: (lambda m, n=n: reflect_plane(m, E[n])) for n in ("e12", "e23", "e13")},
+}
+
+
+@pytest.mark.parametrize("op", sorted(REFLECTIONS))
+def test_structure_permutation_matrix_oracle(op):
+    # every label's reflected image equals the claimed signed target,
+    # exactly, in the 2x2 matrix representation
+    perm = structure_permutation(op)
+    assert set(perm) == set(LABELS)
+    assert sorted(target for target, _ in perm.values()) == sorted(LABELS)
+    for label, (target, sign) in perm.items():
+        assert sign in (1, -1)
+        image = REFLECTIONS[op](structure_element(label))
+        assert to_matrix(image) == sign * to_matrix(structure_element(target)), (op, label)
