@@ -6,27 +6,22 @@ Exit codes: 0 success, 1 domain error, 2 syntax or usage error.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
+import math
 import sys
 
 from ._kernels import BLADE_NAMES
-from .clusters import blade_to_byte_signature
+from .clusters import blade_to_byte_signature, diag_projection, to_structure_coords
 from .cube import render_cube
 from .errors import DomainError, ParseError
 from .expressions import evaluate_text, format_expression
 from .hilbert import hadamard_regroup, not_gate, project, spinor_from_components
 from .multivector import Multivector
-from .report import decompose_report
-from .transforms import (
-    AxisAngle,
-    quaternion_from_axis_angle,
-    reflect_line,
-    reflect_plane,
-    reflect_point,
-    rotate,
-)
+from .transforms import REFLECTIONS, AxisAngle, quaternion_from_axis_angle, rotate
 
-_BASIS_CHOICES = ("blade", "structure", "vdiag", "qdiag")
+_DIAG_KINDS = {"vdiag": "vector_diag", "qdiag": "quaternion_diag"}
+_BASIS_CHOICES = ("blade", "structure", *_DIAG_KINDS)
 
 
 class _UsageError(Exception):
@@ -38,9 +33,12 @@ def _parse_floats(text: str, n: int, what: str) -> list[float]:
     if len(parts) != n:
         raise _UsageError(f"{what} needs {n} comma-separated numbers, got {text!r}")
     try:
-        return [float(p) for p in parts]
+        values = [float(p) for p in parts]
     except ValueError:
         raise _UsageError(f"bad number in {what}: {text!r}") from None
+    if not all(map(math.isfinite, values)):
+        raise _UsageError(f"{what} needs finite numbers, got {text!r}")
+    return values
 
 
 def _parse_complex(text: str, what: str) -> complex:
@@ -57,21 +55,17 @@ def _emit_multivector(m: Multivector, fmt: str) -> None:
 
 def _cmd_eval(args) -> int:
     m = evaluate_text(args.expr)
-    report = decompose_report(m)
     if args.basis == "blade":
         _emit_multivector(m, args.format)
     elif args.basis == "structure":
+        coords = to_structure_coords(m).to_json()
         if args.format == "json":
-            print(json.dumps(report.structure.to_json()))
+            print(json.dumps(coords))
         else:
-            for label, value in report.structure.to_json().items():
+            for label, value in coords.items():
                 print(f"{label:<5} {value:g}")
     else:
-        coeffs, residual = (
-            (report.vector_diag, report.vector_diag_residual)
-            if args.basis == "vdiag"
-            else (report.quaternion_diag, report.quaternion_diag_residual)
-        )
+        coeffs, residual = diag_projection(m, _DIAG_KINDS[args.basis])
         if args.format == "json":
             print(json.dumps({"coefficients": list(coeffs), "residual": residual}))
         else:
@@ -83,7 +77,8 @@ def _cmd_eval(args) -> int:
 
 def _cmd_rotate(args) -> int:
     axis = _parse_floats(args.axis, 3, "--axis")
-    aa = AxisAngle(axis[0], axis[1], axis[2], args.theta)
+    (theta,) = _parse_floats(args.theta, 1, "--theta")
+    aa = AxisAngle(axis[0], axis[1], axis[2], theta)
     q = quaternion_from_axis_angle(aa)
     target = evaluate_text(args.target)
     _emit_multivector(rotate(target, q), args.format)
@@ -92,16 +87,7 @@ def _cmd_rotate(args) -> int:
 
 def _cmd_reflect(args) -> int:
     target = evaluate_text(args.target)
-    mirror = args.mirror
-    if mirror == "point":
-        result = reflect_point(target)
-    elif mirror in ("e1", "e2", "e3"):
-        result = reflect_line(target, Multivector.basis(mirror))
-    elif mirror in ("e12", "e13", "e23"):
-        result = reflect_plane(target, Multivector.basis(mirror))
-    else:
-        raise _UsageError(f"unknown mirror {mirror!r}")
-    _emit_multivector(result, args.format)
+    _emit_multivector(REFLECTIONS[args.mirror](target), args.format)
     return 0
 
 
@@ -160,7 +146,10 @@ def _cmd_signature(args) -> int:
     return 0
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The CLI's argument parser, built once per process; ``main`` only
+    reads it, so repeated ``main(argv)`` calls stay independent."""
     parser = argparse.ArgumentParser(
         prog="geobyte",
         description="Geometric algebra G(3,0) engine: evaluate Clifford "
@@ -177,18 +166,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("rotate", help="rotate a target about an axis")
     p.add_argument("--axis", required=True, metavar="X,Y,Z")
-    p.add_argument("--theta", required=True, type=float, help="angle in radians")
+    p.add_argument("--theta", required=True, help="angle in radians")
     p.add_argument("--target", default="e3")
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_rotate)
 
     p = sub.add_parser("reflect", help="reflect a target in a point, line or plane")
-    p.add_argument(
-        "--in",
-        dest="mirror",
-        required=True,
-        choices=("e1", "e2", "e3", "e12", "e13", "e23", "point"),
-    )
+    p.add_argument("--in", dest="mirror", required=True, choices=tuple(REFLECTIONS))
     p.add_argument("--target", required=True)
     p.add_argument("--format", choices=("text", "json"), default="text")
     p.set_defaults(func=_cmd_reflect)

@@ -266,7 +266,7 @@ def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], 
 def decompose_diag(m: Multivector, kind: DiagKind, tol: float = 1e-12) -> tuple[float, ...]:
     """Coordinates of ``m`` over a diagonal family; error if out of span."""
     coeffs, residual = diag_projection(m, kind)
-    if residual > tol:
+    if not (residual <= tol):
         raise SpanError(
             f"multivector lies outside the {kind} span (residual {residual:g})",
             residual,

@@ -8,17 +8,31 @@ Grammar (products need an explicit '*'; "e12" is a single token):
     factor  := "-" factor | atom
     atom    := NUMBER | "i" | CONST | FUNC "(" expr ")" | "(" expr ")"
     FUNC    := "rev" | "bar" | "conj"
-    NUMBER  := decimal with optional "/" decimal
+    NUMBER  := UNSIGNED ("/" UNSIGNED)?
+    UNSIGNED:= digits with optional "." fraction, then optional exponent
+               ("e"|"E") ("+"|"-")? digits
+    NAME    := a letter followed by letters or digits
+
+A number written with an exponent is one token, so "2e12" is the number
+2e12; write "2*e12" for twice the blade.  A NUMBER must be finite and its
+denominator nonzero.  Parentheses, function calls and unary minus together
+nest at most MAX_DEPTH levels deep, which keeps parsing and evaluation
+well inside the interpreter's recursion limit.
 """
 
 from __future__ import annotations
 
+import math
+import operator
+import re
 from dataclasses import dataclass
-from typing import Union
+from typing import Iterator, Union
+
+import numpy as np
 
 from ._kernels import BLADE_NAMES
 from .clusters import LABELS, paravector, structure_element
-from .errors import ParseError
+from .errors import DomainError, ParseError
 from .multivector import Multivector
 
 # -- AST ---------------------------------------------------------------
@@ -72,70 +86,46 @@ for _label in LABELS:
 
 CONST_NAMES = tuple(_CONSTANTS)
 
+#: deepest nesting of "(", function calls and unary "-" that parses
+MAX_DEPTH = 100
+
 
 # -- tokenizer ---------------------------------------------------------
 
+_UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
+# every alternative can match, so each call yields exactly one token;
+# "end" matches again at the end of the text
+_TOKEN = re.compile(
+    rf"\s*(?:(?P<number>(?P<num>{_UNSIGNED})(?:/(?P<den>(?:{_UNSIGNED})?))?)"
+    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*()])|(?P<end>\Z)|(?P<bad>.))",
+    re.S,
+)
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # "number", "name", "op", "lparen", "rparen", "end"
-    text: str
-    pos: int
-    value: float = 0.0
-
-
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    i, n = 0, len(text)
-    while i < n:
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        if ch in "+-*":
-            tokens.append(_Token("op", ch, i))
-            i += 1
-        elif ch == "(":
-            tokens.append(_Token("lparen", ch, i))
-            i += 1
-        elif ch == ")":
-            tokens.append(_Token("rparen", ch, i))
-            i += 1
-        elif ch.isdigit() or ch == ".":
-            start = i
-            i = _scan_decimal(text, i)
-            value = float(text[start:i])
-            if i < n and text[i] == "/":
-                j = _scan_decimal(text, i + 1)
-                if j == i + 1:
-                    raise ParseError(
-                        "expected denominator", i + 1, frozenset({"number"})
-                    )
-                value /= float(text[i + 1 : j])
-                i = j
-            tokens.append(_Token("number", text[start:i], start, value))
-        elif ch.isalpha():
-            start = i
-            while i < n and text[i].isalnum():
-                i += 1
-            tokens.append(_Token("name", text[start:i], start))
-        else:
-            raise ParseError(
-                f"unexpected character {ch!r}", i, frozenset({"token"})
-            )
-    tokens.append(_Token("end", "", n))
-    return tokens
+Token = tuple[str, str, int, float]  # kind, text, offset, number value
 
 
-def _scan_decimal(text: str, i: int) -> int:
-    n = len(text)
-    while i < n and text[i].isdigit():
-        i += 1
-    if i < n and text[i] == ".":
-        i += 1
-        while i < n and text[i].isdigit():
-            i += 1
-    return i
+def _tokenize(text: str) -> Iterator[Token]:
+    """Yield tokens on demand; a bad token raises when it is reached."""
+    pos = 0
+    while True:
+        m = _TOKEN.match(text, pos)
+        kind, pos = m.lastgroup, m.end()
+        offset = m.start(kind)
+        if kind == "bad":
+            raise ParseError(f"unexpected character {m[kind]!r}", offset, frozenset({"token"}))
+        value = 0.0
+        if kind == "number":
+            num, den = m.group("num", "den")
+            value = float(num)
+            if den == "":
+                raise ParseError("expected denominator", m.start("den"), frozenset({"number"}))
+            if den is not None:
+                if float(den) == 0.0:
+                    raise ParseError("division by zero", offset, frozenset({"number"}))
+                value /= float(den)
+            if not math.isfinite(value):
+                raise ParseError("number is not finite", offset, frozenset({"number"}))
+        yield kind, m[kind], offset, value
 
 
 # -- parser ------------------------------------------------------------
@@ -143,90 +133,91 @@ def _scan_decimal(text: str, i: int) -> int:
 _ATOM_EXPECTED = frozenset({"number", "constant", "i", "function", "("})
 
 
+def _unexpected(tok: Token, expected: frozenset[str]) -> ParseError:
+    kind, text, offset, _ = tok
+    if kind == "end":
+        return ParseError("unexpected end of input", offset, expected)
+    return ParseError(f"unexpected {kind} {text!r}", offset, expected)
+
+
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
-        self.pos = 0
+    def __init__(self, text: str):
+        self.tokens = _tokenize(text)
+        self.tok = next(self.tokens)
+        self.depth = 0
 
-    def peek(self) -> _Token:
-        return self.tokens[self.pos]
-
-    def advance(self) -> _Token:
-        tok = self.tokens[self.pos]
-        self.pos += 1
+    def advance(self) -> Token:
+        tok, self.tok = self.tok, next(self.tokens)
         return tok
 
-    def expect(self, kind: str, expected: frozenset[str]) -> _Token:
-        tok = self.peek()
-        if tok.kind != kind:
+    def expect(self, text: str) -> None:
+        if self.tok[1] != text:
+            raise _unexpected(self.tok, frozenset({text}))
+        self.advance()
+
+    def enter(self, tok: Token) -> None:
+        """One nesting level deeper, opened by ``tok``."""
+        self.depth += 1
+        if self.depth > MAX_DEPTH:
             raise ParseError(
-                f"unexpected {tok.kind} {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-                tok.pos,
-                expected,
+                f"nesting deeper than {MAX_DEPTH} levels", tok[2], frozenset({"number", "constant", "i"})
             )
-        return self.advance()
 
     def expr(self) -> Expr:
         node = self.term()
-        while self.peek().kind == "op" and self.peek().text in "+-":
-            op = self.advance().text
-            node = BinOp(op, node, self.term())
+        while self.tok[1] in ("+", "-"):
+            node = BinOp(self.advance()[1], node, self.term())
         return node
 
     def term(self) -> Expr:
         node = self.factor()
-        while self.peek().kind == "op" and self.peek().text == "*":
+        while self.tok[1] == "*":
             self.advance()
             node = BinOp("*", node, self.factor())
         return node
 
     def factor(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "op" and tok.text == "-":
-            self.advance()
-            return Neg(self.factor())
-        return self.atom()
+        if self.tok[1] != "-":
+            return self.atom()
+        self.enter(self.advance())
+        node = Neg(self.factor())
+        self.depth -= 1
+        return node
+
+    def group(self, opener: Token) -> Expr:
+        """``expr ")"`` one nesting level below ``opener``."""
+        self.enter(opener)
+        node = self.expr()
+        self.expect(")")
+        self.depth -= 1
+        return node
 
     def atom(self) -> Expr:
-        tok = self.peek()
-        if tok.kind == "number":
-            self.advance()
-            return Literal(tok.value)
-        if tok.kind == "lparen":
-            self.advance()
-            node = self.expr()
-            self.expect("rparen", frozenset({")"}))
-            return node
-        if tok.kind == "name":
-            self.advance()
-            if tok.text == "i":
+        tok = self.advance()
+        kind, text, offset, value = tok
+        if kind == "number":
+            return Literal(value)
+        if text == "(":
+            return self.group(tok)
+        if kind == "name":
+            if text == "i":
                 return Imaginary()
-            if tok.text in FUNC_NAMES:
-                self.expect("lparen", frozenset({"("}))
-                node = self.expr()
-                self.expect("rparen", frozenset({")"}))
-                return Func(tok.text, node)
-            if tok.text in _CONSTANTS:
-                return Const(tok.text)
-            raise ParseError(
-                f"unknown name {tok.text!r}", tok.pos, frozenset({"constant", "function"})
-            )
-        raise ParseError(
-            f"unexpected {tok.kind} {tok.text!r}" if tok.kind != "end" else "unexpected end of input",
-            tok.pos,
-            _ATOM_EXPECTED,
-        )
+            if text in FUNC_NAMES:
+                self.expect("(")
+                return Func(text, self.group(tok))
+            if text in _CONSTANTS:
+                return Const(text)
+            raise ParseError(f"unknown name {text!r}", offset, frozenset({"constant", "function"}))
+        raise _unexpected(tok, _ATOM_EXPECTED)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises :class:`ParseError` with byte offset."""
-    parser = _Parser(_tokenize(text))
+    parser = _Parser(text)
     node = parser.expr()
-    tok = parser.peek()
-    if tok.kind != "end":
-        raise ParseError(
-            f"trailing input {tok.text!r}", tok.pos, frozenset({"+", "-", "*", "end"})
-        )
+    kind, rest, offset, _ = parser.tok
+    if kind != "end":
+        raise ParseError(f"trailing input {rest!r}", offset, frozenset({"+", "-", "*", "end"}))
     return node
 
 
@@ -236,33 +227,44 @@ _FUNC_IMPL = {
     "conj": Multivector.clifford_conjugation,
 }
 
+_BINOP_IMPL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+
 _I = Multivector.basis("e123")
 
 
 def evaluate(e: Expr) -> Multivector:
-    """Bottom-up evaluation to a multivector; i is the pseudoscalar."""
+    """Bottom-up evaluation to a multivector; i is the pseudoscalar.
+
+    The left spine of a binary-operator chain is walked with a loop, so a
+    long sum or product costs no recursion depth.
+    """
+    chain = []
+    while isinstance(e, BinOp):
+        chain.append(e)
+        e = e.left
     if isinstance(e, Literal):
-        return Multivector.scalar(e.value)
-    if isinstance(e, Imaginary):
-        return _I
-    if isinstance(e, Const):
-        return _CONSTANTS[e.name]
-    if isinstance(e, Neg):
-        return -evaluate(e.child)
-    if isinstance(e, Func):
-        return _FUNC_IMPL[e.name](evaluate(e.child))
-    if isinstance(e, BinOp):
-        left, right = evaluate(e.left), evaluate(e.right)
-        if e.op == "+":
-            return left + right
-        if e.op == "-":
-            return left - right
-        return left * right
-    raise TypeError(f"not an expression node: {e!r}")
+        value = Multivector.scalar(e.value)
+    elif isinstance(e, Imaginary):
+        value = _I
+    elif isinstance(e, Const):
+        value = _CONSTANTS[e.name]
+    elif isinstance(e, Neg):
+        value = -evaluate(e.child)
+    elif isinstance(e, Func):
+        value = _FUNC_IMPL[e.name](evaluate(e.child))
+    else:
+        raise TypeError(f"not an expression node: {e!r}")
+    for node in reversed(chain):
+        value = _BINOP_IMPL[node.op](value, evaluate(node.right))
+    return value
 
 
 def evaluate_text(text: str) -> Multivector:
-    return evaluate(parse(text))
+    """Parse and evaluate; :class:`DomainError` if the value overflowed."""
+    m = evaluate(parse(text))
+    if not np.isfinite(m.coeffs).all():
+        raise DomainError(f"expression value is not finite: {m!r}")
+    return m
 
 
 def format_expression(m: Multivector) -> str:

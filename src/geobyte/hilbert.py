@@ -8,6 +8,7 @@ rejected instead of silently producing junk.
 
 from __future__ import annotations
 
+import cmath
 from dataclasses import dataclass
 from typing import Literal
 
@@ -192,9 +193,12 @@ class HadamardTerms:
 def hadamard_regroup(s: Spinor) -> HadamardTerms:
     """Rewrite a positive contravariant spinor over {P1*P3, N1*P3}."""
     alpha, beta = spinor_components(s)
+    plus, minus = alpha + beta, alpha - beta
+    if not (cmath.isfinite(plus) and cmath.isfinite(minus)):
+        raise DomainError(f"Hadamard coefficients overflow: {plus!r}, {minus!r}")
     return HadamardTerms(
-        coeff_plus=alpha + beta,
-        coeff_minus=alpha - beta,
+        coeff_plus=plus,
+        coeff_minus=minus,
         plus_basis=P1 * P3,
         minus_basis=N1 * P3,
     )

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import Callable
 
 import numpy as np
 
@@ -68,9 +69,9 @@ class Quaternion:
 
     def __init__(self, value: Multivector, require_unit: bool = True):
         odd = value.grade_project(1) + value.grade_project(3)
-        if odd.norm() > _GRADE_TOL:
+        if not (odd.norm() <= _GRADE_TOL):
             raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
-        if require_unit and abs(value.norm() ** 2 - 1.0) > _UNIT_TOL:
+        if require_unit and not (abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL):
             raise DomainError("quaternion is not unit")
         object.__setattr__(self, "_value", value)
 
@@ -100,9 +101,11 @@ class Quaternion:
 
 def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
     """exp(-e123 * c * theta/2) = cos(theta/2) - e123*c*sin(theta/2)."""
-    n2 = aa.c1**2 + aa.c2**2 + aa.c3**2
-    if abs(n2 - 1.0) > _UNIT_TOL:
+    n2 = aa.c1 * aa.c1 + aa.c2 * aa.c2 + aa.c3 * aa.c3  # ** would raise on overflow
+    if not (abs(n2 - 1.0) <= _UNIT_TOL):
         raise DomainError("rotation axis must be a unit vector")
+    if not math.isfinite(aa.theta):
+        raise DomainError(f"rotation angle must be finite, got {aa.theta!r}")
     half = 0.5 * aa.theta
     c = Multivector([0, aa.c1, aa.c2, aa.c3, 0, 0, 0, 0])
     value = math.cos(half) * E0 - math.sin(half) * (Multivector.basis("e123") * c)
@@ -158,9 +161,9 @@ def reflect_point(m: Multivector) -> Multivector:
 
 def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
     off = mirror - mirror.grade_project(grade)
-    if off.norm() > _GRADE_TOL:
+    if not (off.norm() <= _GRADE_TOL):
         raise DomainError(f"{what} must be a pure grade-{grade} multivector")
-    if abs(mirror.norm() ** 2 - 1.0) > _UNIT_TOL:
+    if not (abs(mirror.norm() ** 2 - 1.0) <= _UNIT_TOL):
         raise DomainError(f"{what} must be unit")
 
 
@@ -184,28 +187,27 @@ def reflect_plane(m: Multivector, plane: Multivector) -> Multivector:
     return plane * m.grade_involution() * plane.reversion()
 
 
-_LINE_NAMES = ("e1", "e2", "e3")
-_PLANE_NAMES = ("e12", "e23", "e13")
+#: basis reflection descriptor -> reflection of a multivector in it
+REFLECTIONS: dict[str, Callable[[Multivector], Multivector]] = {
+    **{n: lambda m, b=Multivector.basis(n): reflect_line(m, b) for n in ("e1", "e2", "e3")},
+    **{n: lambda m, b=Multivector.basis(n): reflect_plane(m, b) for n in ("e12", "e13", "e23")},
+    "point": reflect_point,
+}
 
 
 def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
     """Signed permutation of the structure-element labels realized by a
     basis reflection.
 
-    ``op`` is "point", a basis axis name ("e1".."e3") or a basis plane
-    name ("e12"/"e23"/"e13").  Computed by reflecting each element and
-    reading its structure coordinates, which are exact (the sign matrix
-    has H @ H.T = 8 I): the image of a label is +-1 at its target and 0
-    elsewhere.
+    ``op`` is a key of :data:`REFLECTIONS`: "point", a basis axis name
+    ("e1".."e3") or a basis plane name ("e12"/"e23"/"e13").  Computed by
+    reflecting each element and reading its structure coordinates, which
+    are exact (the sign matrix has H @ H.T = 8 I): the image of a label is
+    +-1 at its target and 0 elsewhere.
     """
-    if op == "point":
-        apply = reflect_point
-    elif op in _LINE_NAMES:
-        apply = lambda m: reflect_line(m, Multivector.basis(op))
-    elif op in _PLANE_NAMES:
-        apply = lambda m: reflect_plane(m, Multivector.basis(op))
-    else:
+    if op not in REFLECTIONS:
         raise DomainError(f"unsupported reflection descriptor {op!r}")
+    apply = REFLECTIONS[op]
 
     perm: dict[str, tuple[str, int]] = {}
     for label in LABELS:

@@ -1,10 +1,15 @@
 """CLI: every subcommand, both output formats, and the exit-code
 contract (0 success, 1 domain error, 2 syntax/usage error)."""
 
+import contextlib
+import io
 import json
 import math
+import re
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from geobyte import (
     Multivector,
@@ -14,7 +19,7 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.cli import main
+from geobyte.cli import build_parser, main
 
 BYTE_TABLE = {
     "e0": "+++",
@@ -193,6 +198,112 @@ def test_exit_code_domain_error(capsys):
 def test_exit_code_bad_flags(capsys):
     assert run(capsys, "eval", "e1", "--basis", "nope")[0] == 2
     assert run(capsys, "nosuchcommand")[0] == 2
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["eval", "--", "."], 2),
+        (["eval", "--", "1/."], 2),
+        (["eval", "--", "\u00b2"], 2),
+        (["eval", "--", "e1 + 1/0"], 2),
+        (["eval", "--", "1" + "0" * 399 + "*e1"], 2),
+        (["eval", "--", "1e300*1e300"], 1),
+        (["eval", "--", "(" * 250 + "e1" + ")" * 250], 2),
+        (["eval", "--", "-" * 1000 + "e1"], 2),
+        (["eval", "--", "(" * 5000 + "e1" + ")" * 5000], 2),
+        (["rotate", "--axis=0,0,1", "--theta=inf"], 2),
+        (["rotate", "--axis=0,0,1", "--theta=-inf"], 2),
+        (["rotate", "--axis=0,0,1", "--theta=nan"], 2),
+        (["rotate", "--axis=nan,0,1", "--theta=1"], 2),
+        (["rotate", "--axis=1e200,0,0", "--theta=1"], 1),
+        (["gate", "--name", "not", "--alpha=nan,0", "--beta=0,0"], 2),
+        (["gate", "--name", "hadamard", "--alpha=1.7e308,0", "--beta=1.7e308,0"], 1),
+    ],
+)
+def test_exit_codes_for_defect_inputs(capsys, argv, code):
+    got, out, err = run(capsys, *argv)
+    assert got == code
+    assert out == ""
+    assert err.startswith("domain error:" if code == 1 else ("syntax error:", "usage error:"))
+
+
+def test_eval_printed_exponents_round_trip(capsys):
+    code, out, _ = run(capsys, "eval", "1/100000 + 10000000000000000*e1")
+    assert (code, out) == (0, "1e-05*e0 + 1e+16*e1\n")
+    assert run(capsys, "eval", "--", out.strip()) == (0, out, "")
+
+
+def test_main_is_reentrant(capsys):
+    argvs = [
+        ["eval", "e1*e2", "--basis", "structure"],
+        ["rotate", "--axis", "0,0,1", "--theta", "0", "--format", "json"],
+        ["rotate", "--axis", "1,2", "--theta", "0.5"],  # usage error
+        ["eval", "e1", "--basis", "nope"],  # rejected by argparse
+        ["reflect", "--in", "e23", "--target", "A"],
+        ["gate", "--name", "hadamard", "--alpha", "1,0", "--beta", "0,0"],
+        ["signature", "--blade", "e23"],
+    ]
+    alone = []
+    for argv in argvs:
+        build_parser.cache_clear()  # a parser of its own, as in a fresh process
+        alone.append(run(capsys, *argv))
+    assert [run(capsys, *argv) for argv in argvs] == alone
+    assert [run(capsys, *argv) for argv in reversed(argvs)] == alone[::-1]
+    assert [code for code, _, _ in alone] == [0, 0, 2, 2, 0, 0, 0]
+    assert build_parser() is build_parser()
+
+
+# -- the exit-code contract on arbitrary input ---------------------------
+
+# how repr, %g and json.dumps spell a non-finite float
+_NON_FINITE = re.compile(r"(?i)nan|inf")
+_FLOATS = st.floats()  # NaN, +-inf and extremes included
+_GRAMMAR_TEXT = st.text(alphabet="0123456789.eE+-*/() iPNABCDbarevconj", max_size=40)
+
+
+def _assert_contract(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(argv)
+    assert code in (0, 1, 2), (argv, code)
+    if code == 0:
+        assert not _NON_FINITE.search(out.getvalue()), (argv, out.getvalue())
+
+
+@settings(deadline=None)
+@given(st.one_of(st.text(max_size=40), _GRAMMAR_TEXT), st.sampled_from(("text", "json")))
+def test_eval_contract_on_arbitrary_text(text, fmt):
+    _assert_contract(["eval", "--format", fmt, "--", text])
+
+
+@settings(deadline=None)
+@given(
+    st.one_of(
+        st.tuples(_FLOATS, _FLOATS, _FLOATS),
+        st.sampled_from([(0.0, 0.0, 1.0), (1.0, 0.0, 0.0), (0.6, 0.0, -0.8)]),
+    ),
+    _FLOATS,
+    st.sampled_from(("text", "json")),
+)
+def test_rotate_contract_on_arbitrary_floats(axis, theta, fmt):
+    _assert_contract(
+        ["rotate", "--axis=" + ",".join(map(repr, axis)), f"--theta={theta!r}", "--format", fmt]
+    )
+
+
+@settings(deadline=None)
+@given(
+    st.sampled_from(("not", "hadamard")),
+    st.tuples(_FLOATS, _FLOATS, _FLOATS, _FLOATS),
+    st.sampled_from(("text", "json")),
+)
+@example("hadamard", (1.7e308, 0.0, 1.7e308, 0.0), "text")  # alpha + beta overflows
+def test_gate_contract_on_arbitrary_floats(name, parts, fmt):
+    a_re, a_im, b_re, b_im = map(repr, parts)
+    _assert_contract(
+        ["gate", "--name", name, f"--alpha={a_re},{a_im}", f"--beta={b_re},{b_im}", "--format", fmt]
+    )
 
 
 # -- decomposition report (library side of the eval subcommand) --------

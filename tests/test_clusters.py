@@ -309,6 +309,12 @@ def test_decompose_out_of_span():
     assert residual == 1.0
 
 
+def test_decompose_non_finite_out_of_span():
+    for kind in ("vector_diag", "quaternion_diag"):
+        with pytest.raises(SpanError):
+            decompose_diag(Multivector([float("nan")] * 8), kind)
+
+
 def test_structure_coords_json():
     coords = to_structure_coords(E["e12"])
     assert StructureCoords.from_json(coords.to_json()) == coords

@@ -2,6 +2,8 @@
 product identities expressed in expression syntax."""
 
 import pytest
+from hypothesis import example, given
+from hypothesis import strategies as st
 
 from geobyte import (
     Multivector,
@@ -14,8 +16,17 @@ from geobyte import (
 )
 from geobyte._kernels import BLADE_NAMES
 from geobyte.clusters import LABELS
-from geobyte.errors import ParseError
-from geobyte.expressions import BinOp, Const, Func, Imaginary, Literal, Neg, evaluate
+from geobyte.errors import DomainError, ParseError
+from geobyte.expressions import (
+    MAX_DEPTH,
+    BinOp,
+    Const,
+    Func,
+    Imaginary,
+    Literal,
+    Neg,
+    evaluate,
+)
 
 from conftest import random_multivector
 
@@ -151,3 +162,79 @@ def test_format_round_trip(rng):
 def test_format_shape():
     assert format_expression(E["e1"]) == "1.0*e1"
     assert format_expression(-E["e1"] + 0.5 * E["e12"]) == "-1.0*e1 + 0.5*e12"
+
+
+@given(st.lists(st.floats(allow_nan=False, allow_infinity=False), min_size=8, max_size=8))
+@example([1e-05, 0, 0, 0, 0, 0, 0, 0])
+@example([0, 1e16, 0, 0, 0, 0, 0, 0])
+@example([0, 0, 0, 0, 0, 0, 0, -5e-324])
+def test_format_round_trip_property(coeffs):
+    # format_expression prints repr floats, exponents included; every
+    # printed form parses back to the same coefficients
+    m = Multivector(coeffs)
+    back = evaluate_text(format_expression(m))
+    assert back == m
+    nonzero = m.coeffs != 0.0
+    assert back.coeffs[nonzero].tobytes() == m.coeffs[nonzero].tobytes()
+
+
+def test_exponent_numbers():
+    assert evaluate_text("1e-05*e0") == 1e-05 * E["e0"]
+    assert evaluate_text("1e+16*e0") == 1e16 * E["e0"]
+    assert evaluate_text("1.5E+3/3") == 500.0 * E["e0"]
+    # an exponent makes one number token; the blade needs an explicit '*'
+    assert evaluate_text("2e12") == 2e12 * E["e0"]
+    assert evaluate_text("2*e12") == 2.0 * E["e12"]
+    assert evaluate_text(".5 + 1.") == 1.5 * E["e0"]
+
+
+@pytest.mark.parametrize(
+    "text, offset",
+    [
+        (".", 0),
+        ("1/.", 2),
+        ("\u00b2", 0),  # superscript two: a digit to str.isdigit, not to float()
+        ("1/0", 0),
+        ("e1 + 2/0.0e3", 5),
+        pytest.param("1" + "0" * 400, 0, id="400-digit literal"),
+        ("e1*1e400", 3),
+        ("1e400/1e400", 0),
+    ],
+)
+def test_bad_numbers_raise_parse_errors(text, offset):
+    with pytest.raises(ParseError) as exc:
+        parse(text)
+    assert exc.value.offset == offset
+
+
+def test_nesting_cap():
+    assert evaluate_text("(" * MAX_DEPTH + "e1" + ")" * MAX_DEPTH) == E["e1"]
+    assert evaluate_text("-" * MAX_DEPTH + "e1") == E["e1"]
+    assert evaluate_text("rev(" * MAX_DEPTH + "e12" + ")" * MAX_DEPTH) == E["e12"]
+    over = MAX_DEPTH + 1
+    for text, offset in (
+        ("(" * over + "e1" + ")" * over, MAX_DEPTH),
+        ("-" * over + "e1", MAX_DEPTH),
+        ("bar(" * over + "e1" + ")" * over, 4 * MAX_DEPTH),
+        # tokens are pulled lazily: the cap is hit before the bad character
+        ("(" * 5000 + "@", MAX_DEPTH),
+    ):
+        with pytest.raises(ParseError) as exc:
+            parse(text)
+        assert exc.value.offset == offset
+    for text in ("(" * 250 + "e1" + ")" * 250, "-" * 1000 + "e1"):
+        with pytest.raises(ParseError):
+            parse(text)
+
+
+def test_long_chains_evaluate_without_recursion():
+    assert evaluate_text("+".join(["e1"] * 1500)) == 1500.0 * E["e1"]
+    assert evaluate_text("-".join(["e2"] * 1501)) == -1499.0 * E["e2"]
+    assert evaluate_text("*".join(["e1"] * 1501)) == E["e1"]
+
+
+def test_non_finite_value_is_a_domain_error():
+    big = "1" + "0" * 300
+    for text in ("1e300*1e300", f"{big}*{big}", "1e308+1e308"):
+        with pytest.raises(DomainError):
+            evaluate_text(text)

@@ -332,6 +332,14 @@ def test_hadamard_regroup_fixtures():
     assert abs(terms.coeff_minus) < 1e-15
 
 
+def test_hadamard_regroup_overflow_is_a_domain_error():
+    big = spinor_from_components(1.7e308, 1.7e308)
+    with pytest.raises(DomainError):
+        hadamard_regroup(big)
+    terms = hadamard_regroup(spinor_from_components(1.7e308, -1.7e308j))
+    assert terms.coeff_plus == complex(1.7e308, -1.7e308)
+
+
 def test_hadamard_regroup_resums(rng):
     for _ in range(20):
         q = random_unit_quaternion(rng)

@@ -68,6 +68,29 @@ def test_axis_angle_fixtures():
         quaternion_from_axis_angle(AxisAngle(1, 1, 0, 0.1))
 
 
+def test_non_finite_rotations_rejected():
+    nan, inf = float("nan"), float("inf")
+    for aa in (
+        AxisAngle(nan, 0, 1, 0.5),
+        AxisAngle(0, 0, 1, inf),
+        AxisAngle(0, 0, 1, -inf),
+        AxisAngle(0, 0, 1, nan),
+        AxisAngle(1e200, 0, 0, 0.5),  # the squared norm overflows
+    ):
+        with pytest.raises(DomainError):
+            quaternion_from_axis_angle(aa)
+    all_nan = Multivector([nan] * 8)
+    for bad in (all_nan, nan * E["e0"]):
+        with pytest.raises(DomainError):
+            Quaternion(bad)
+    with pytest.raises(DomainError):
+        Quaternion(all_nan, require_unit=False)
+    with pytest.raises(DomainError):
+        reflect_line(E["e1"], nan * E["e1"])
+    with pytest.raises(DomainError):
+        reflect_plane(E["e1"], nan * E["e12"])
+
+
 def test_axis_angle_json():
     aa = AxisAngle(0.0, 0.6, 0.8, 1.25)
     assert AxisAngle.from_json(aa.to_json()) == aa
