@@ -1,6 +1,8 @@
 """Command line front end.
 
-Exit codes: 0 success, 1 domain error, 2 syntax or usage error.
+Exit codes: 0 success, 1 domain error, 2 syntax or usage error.  Every
+number a command prints passes :func:`_finite` first, so a value that
+overflows after parsing exits 1 instead of printing inf or nan.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ from .cube import render_cube
 from .errors import DomainError, ParseError
 from .expressions import evaluate_text, format_expression
 from .hilbert import hadamard_regroup, not_gate, project, spinor_from_components
-from .multivector import Multivector
+from .multivector import Multivector, require_finite
 from .transforms import REFLECTIONS, AxisAngle, quaternion_from_axis_angle, rotate
 
 _DIAG_KINDS = {"vdiag": "vector_diag", "qdiag": "quaternion_diag"}
@@ -46,7 +48,13 @@ def _parse_complex(text: str, what: str) -> complex:
     return complex(re, im)
 
 
+def _finite(values) -> None:
+    """:class:`DomainError` unless every value to be printed is finite."""
+    require_finite(values, "result")
+
+
 def _emit_multivector(m: Multivector, fmt: str) -> None:
+    _finite(m._c)
     if fmt == "json":
         print(json.dumps(m.to_json()))
     else:
@@ -58,14 +66,16 @@ def _cmd_eval(args) -> int:
     if args.basis == "blade":
         _emit_multivector(m, args.format)
     elif args.basis == "structure":
-        coords = to_structure_coords(m).to_json()
+        coords = to_structure_coords(m)
+        _finite(coords.values)
         if args.format == "json":
-            print(json.dumps(coords))
+            print(json.dumps(coords.to_json()))
         else:
-            for label, value in coords.items():
+            for label, value in coords.to_json().items():
                 print(f"{label:<5} {value:g}")
     else:
         coeffs, residual = diag_projection(m, _DIAG_KINDS[args.basis])
+        _finite((*coeffs, residual))
         if args.format == "json":
             print(json.dumps({"coefficients": list(coeffs), "residual": residual}))
         else:
@@ -95,6 +105,7 @@ def _cmd_project(args) -> int:
     target = evaluate_text(args.target)
     ideal = {"pos": "positive", "neg": "negative"}[args.ideal]
     spinor = project(target, ideal, args.side)
+    _finite(spinor.value._c)
     if args.format == "json":
         print(json.dumps(spinor.to_json()))
     else:
@@ -110,12 +121,15 @@ def _cmd_gate(args) -> int:
     spinor = spinor_from_components(alpha, beta)
     if args.name == "not":
         result = not_gate(spinor)
+        _finite(result.value._c)
         if args.format == "json":
             print(json.dumps(result.to_json()))
         else:
             print(format_expression(result.value))
     else:  # hadamard
         terms = hadamard_regroup(spinor)
+        _finite((terms.coeff_plus.real, terms.coeff_plus.imag,
+                 terms.coeff_minus.real, terms.coeff_minus.imag))
         if args.format == "json":
             print(
                 json.dumps(
@@ -137,6 +151,7 @@ def _cmd_gate(args) -> int:
 
 def _cmd_cube(args) -> int:
     target = evaluate_text(args.target)
+    _finite(to_structure_coords(target).values)
     sys.stdout.write(render_cube(target, args.format))
     return 0
 

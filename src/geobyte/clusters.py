@@ -5,18 +5,34 @@ elements, byte signatures, unit-cube coordinates and the two diagonal
 Every table here is computed from the definitions (ordered paravector
 products), never transcribed from printed expansions; printed rows are
 asserted in the test suite instead.
+
+The changes of basis are fixed +-1 matrices, so each is generated from
+its matrix as a straight-line kernel (:func:`geobyte._kernels.compile_kernel`)
+whose source text pins the summation order:
+
+* structure coordinates sum each row's signed terms t_b = +-c_b as
+  ``0.0 + (((t0+t4) + (t2+t6)) + ((t1+t5) + (t3+t7)))``, the pairing in
+  which numpy's matrix-vector product ``SIGN_MATRIX @ coeffs`` added them
+  onto its zeroed accumulator, so the coordinates are bit-identical to
+  that product, signed zeros included (a left-to-right sum is not: it
+  differs in the last bit on most dense inputs);
+* the inverse map uses the same pairing over the columns.  It is exact
+  on dyadic input and otherwise agrees with ``v @ SIGN_MATRIX / 8`` to
+  the rounding of its inputs; no order reproduces numpy's there;
+* diagonal coefficients sum the four signed terms left to right onto a
+  0.0 accumulator, which is what numpy's 4x4 product gave, signed zeros
+  included.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
-from typing import Literal
+from typing import Literal, Sequence
 
-import numpy as np
-
-from ._kernels import BLADE_NAMES, NAME_INDEX
+from ._kernels import BLADE_NAMES, compile_kernel
 from .errors import DomainError, SpanError
-from .multivector import E0, Multivector
+from .multivector import E0, Multivector, require_finite
 
 Polarity = Literal["positive", "negative"]
 
@@ -96,27 +112,47 @@ def structure_element(label: str) -> Multivector:
         raise DomainError(f"unknown structure element {label!r}") from None
 
 
-def _build_sign_matrix() -> np.ndarray:
+def _build_sign_matrix() -> tuple[tuple[int, ...], ...]:
     """Rows = labels, columns = blades, entries = 8 * coefficient.
 
     The eight rows form a Hadamard-type +-1 matrix with H @ H.T = 8 I,
     which makes the structure-coordinate change of basis exactly
     invertible in floating point.
     """
-    h = np.empty((8, 8))
-    for i, label in enumerate(LABELS):
-        h[i] = 8.0 * _STRUCTURE[label].coeffs
-    hi = np.rint(h)
-    if not np.array_equal(hi, h) or not np.array_equal(np.abs(hi), np.ones((8, 8))):
+    rows = tuple(tuple(8.0 * x for x in _STRUCTURE[label]._c) for label in LABELS)
+    if any(abs(x) != 1.0 for row in rows for x in row):
         raise AssertionError("structure elements are not +-1/8 sign patterns")
-    if not np.array_equal(hi @ hi.T, 8.0 * np.eye(8)):
+    h = tuple(tuple(int(x) for x in row) for row in rows)
+    if any(sum(map(int.__mul__, h[i], h[j])) != 8 * (i == j) for i in range(8) for j in range(8)):
         raise AssertionError("structure sign matrix is not Hadamard-type")
-    hi.setflags(write=False)
-    return hi
+    return h
 
 
-#: H[label, blade] = +-1 with structure_element(label) = (1/8) sum H[l,b] e_b
+#: H[label][blade] = +-1 with structure_element(label) = (1/8) sum H[l][b] e_b
 SIGN_MATRIX = _build_sign_matrix()
+
+#: pairing of a row's eight signed terms, outermost brackets first
+_PAIRING = (((0, 4), (2, 6)), ((1, 5), (3, 7)))
+
+
+def _pairwise_sum(signs: Sequence[int], var: str) -> str:
+    """Source of sum_b signs[b] * var_b, bracketed as :data:`_PAIRING`
+    and added onto 0.0."""
+
+    def pair(i: int, j: int) -> str:
+        first = f"-{var}{i}" if signs[i] < 0 else f"{var}{i}"
+        return f"({first} {'-' if signs[j] < 0 else '+'} {var}{j})"
+
+    (p, q), (r, t) = _PAIRING
+    return f"0.0 + (({pair(*p)} + {pair(*q)}) + ({pair(*r)} + {pair(*t)}))"
+
+
+_to_structure = compile_kernel(
+    "to_structure", ("c",), [_pairwise_sum(row, "c") for row in SIGN_MATRIX]
+)
+_from_structure = compile_kernel(
+    "from_structure", ("v",), [f"({_pairwise_sum(col, 'v')}) * 0.125" for col in zip(*SIGN_MATRIX)]
+)
 
 
 @dataclass(frozen=True)
@@ -134,24 +170,24 @@ class StructureCoords:
         return self.values[LABEL_INDEX[label]]
 
     def to_json(self) -> dict[str, float]:
-        return {l: float(v) for l, v in zip(LABELS, self.values)}
+        """Label -> coordinate; :class:`DomainError` if any is NaN or infinite."""
+        return dict(zip(LABELS, require_finite(self.values, "structure coordinates")))
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "StructureCoords":
         if set(obj) != set(LABELS):
             raise ValueError("structure coords JSON must have exactly the 8 labels")
-        return cls(tuple(float(obj[l]) for l in LABELS))
+        return cls(require_finite((obj[l] for l in LABELS), "structure coordinates"))
 
 
 def to_structure_coords(m: Multivector) -> StructureCoords:
     """Unique coordinates of ``m`` over the structure elements (exact)."""
-    return StructureCoords(tuple(float(x) for x in SIGN_MATRIX @ m.coeffs))
+    return StructureCoords(_to_structure(m._c))
 
 
 def from_structure_coords(c: StructureCoords) -> Multivector:
     """Exact inverse of :func:`to_structure_coords`."""
-    v = np.asarray(c.values)
-    return Multivector((v @ SIGN_MATRIX) / 8.0)
+    return Multivector(_from_structure(c.values))
 
 
 @dataclass(frozen=True)
@@ -196,9 +232,8 @@ def _build_signature_table() -> dict[str, ByteSignature]:
         for s2 in (1, -1):
             for s3 in (1, -1):
                 sig = ByteSignature(s1, s2, s3)
-                blade = byte_signature_to_blade(sig)
-                c = blade.coeffs
-                hot = np.flatnonzero(c)
+                c = byte_signature_to_blade(sig)._c
+                hot = [i for i, x in enumerate(c) if x != 0.0]
                 if len(hot) != 1 or c[hot[0]] != 1.0:
                     raise AssertionError("byte state is not a unit blade")
                 table[BLADE_NAMES[hot[0]]] = sig
@@ -237,30 +272,37 @@ def diag_basis(kind: DiagKind) -> tuple[Multivector, Multivector, Multivector, M
     raise DomainError(f"unknown diagonal basis {kind!r}")
 
 
-def _diag_solver(kind: DiagKind) -> tuple[np.ndarray, np.ndarray]:
-    """(blade positions spanned, exact inverse +-1 matrix) for a family."""
+def _diag_kernel(kind: DiagKind):
+    """Straight-line (4 coefficients, out-of-span sum of squares) of a
+    multivector's 8-tuple over one diagonal family.
+
+    The family spans four blade positions; over them its 4x4 matrix
+    G = 4 * coefficients is +-1 with G @ G.T = 4 I, so G itself is the
+    exact inverse and coefficient r is sum_b G[r][b] c_b.
+    """
     basis = diag_basis(kind)
-    cols = np.stack([b.coeffs for b in basis], axis=1)
-    live = np.flatnonzero(np.any(cols != 0.0, axis=1))
-    g = np.rint(4.0 * cols[live].T)  # rows = basis elements over live blades
-    if not np.array_equal(g @ g.T, 4.0 * np.eye(4)):
+    live = [b for b in range(8) if any(e._c[b] != 0.0 for e in basis)]
+    g = [[4.0 * e._c[b] for b in live] for e in basis]
+    if any(abs(x) != 1.0 for row in g for x in row) or any(
+        sum(x * y for x, y in zip(g[i], g[j])) != 4.0 * (i == j) for i in range(4) for j in range(4)
+    ):
         raise AssertionError("diagonal family is not Hadamard-type")
-    return live, g
+    outputs = [
+        "0.0" + "".join(f" {'-' if x < 0 else '+'} c{b}" for x, b in zip(row, live)) for row in g
+    ]
+    outputs.append(" + ".join(f"c{b} * c{b}" for b in range(8) if b not in live))
+    return compile_kernel(kind, ("c",), outputs)
 
 
-_DIAG_SOLVERS = {k: _diag_solver(k) for k in ("vector_diag", "quaternion_diag")}
+_DIAG_KERNELS = {k: _diag_kernel(k) for k in ("vector_diag", "quaternion_diag")}
 
 
 def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], float]:
     """Coefficients of the in-span part of ``m`` plus out-of-span residual norm."""
-    if kind not in _DIAG_SOLVERS:
+    if kind not in _DIAG_KERNELS:
         raise DomainError(f"unknown diagonal basis {kind!r}")
-    live, g = _DIAG_SOLVERS[kind]
-    sub = m.coeffs[live]
-    coeffs = g @ sub  # exact: Hadamard-type inverse
-    rest = np.delete(m.coeffs, live)
-    residual = float(np.sqrt(np.dot(rest, rest)))
-    return tuple(float(x) for x in coeffs), residual
+    d1, d2, d3, d4, rest2 = _DIAG_KERNELS[kind](m._c)
+    return (d1, d2, d3, d4), math.sqrt(rest2)
 
 
 def decompose_diag(m: Multivector, kind: DiagKind, tol: float = 1e-12) -> tuple[float, ...]:

@@ -28,8 +28,6 @@ import re
 from dataclasses import dataclass
 from typing import Iterator, Union
 
-import numpy as np
-
 from ._kernels import BLADE_NAMES
 from .clusters import LABELS, paravector, structure_element
 from .errors import DomainError, ParseError
@@ -262,7 +260,7 @@ def evaluate(e: Expr) -> Multivector:
 def evaluate_text(text: str) -> Multivector:
     """Parse and evaluate; :class:`DomainError` if the value overflowed."""
     m = evaluate(parse(text))
-    if not np.isfinite(m.coeffs).all():
+    if not all(map(math.isfinite, m._c)):
         raise DomainError(f"expression value is not finite: {m!r}")
     return m
 

@@ -109,8 +109,8 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
     """
     flip = 1 if _projector(ideal) is P3 else -1
-    c = (Multivector.basis(blade) * _E3).coeffs
-    (k,) = c.nonzero()[0]
+    c = (Multivector.basis(blade) * _E3)._c
+    (k,) = [i for i, x in enumerate(c) if x != 0.0]
     return BLADE_NAMES[k], flip * int(c[k])
 
 

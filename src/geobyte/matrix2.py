@@ -5,14 +5,17 @@ e1 -> [[0,1],[1,0]], e2 -> [[0,-i],[i,0]], e3 -> [[1,0],[0,-1]]) and
 extended by products; every printed matrix elsewhere is a test fixture,
 not a definition.  Used as the independent oracle for the rest of the
 package, and exposed publicly for users coming from matrix habits.
+
+This is the one module built on numpy arrays; it imports numpy on first
+use, so importing geobyte does not.
 """
 
 from __future__ import annotations
 
-import numpy as np
+import functools
 
 from ._kernels import BLADE_NAMES, NAME_INDEX
-from .multivector import Multivector
+from .multivector import Multivector, require_finite
 
 
 class ComplexMatrix2:
@@ -21,6 +24,8 @@ class ComplexMatrix2:
     __slots__ = ("_m",)
 
     def __init__(self, entries):
+        import numpy as np
+
         m = np.asarray(entries, dtype=np.complex128)
         if m.shape != (2, 2):
             raise ValueError("ComplexMatrix2 needs a 2x2 array")
@@ -32,7 +37,8 @@ class ComplexMatrix2:
         raise AttributeError("ComplexMatrix2 is immutable")
 
     @property
-    def array(self) -> np.ndarray:
+    def array(self):
+        """The read-only 2x2 complex numpy array."""
         return self._m
 
     @property
@@ -75,33 +81,45 @@ class ComplexMatrix2:
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexMatrix2):
             return NotImplemented
-        return bool(np.array_equal(self._m, other._m))
+        return bool((self._m == other._m).all())
 
     def __hash__(self):
-        return hash(self._m.tobytes())
+        # complex hashing maps -0.0 and 0.0 together, as == does
+        return hash(tuple(self._m.flat))
 
     def approx_eq(self, other: "ComplexMatrix2", tol: float) -> bool:
-        return bool(np.max(np.abs(self._m - other._m)) <= tol)
+        return bool(abs(self._m - other._m).max() <= tol)
 
     def det(self) -> complex:
         return complex(self._m[0, 0] * self._m[1, 1] - self._m[0, 1] * self._m[1, 0])
 
     def to_json(self) -> dict:
+        """Entry name -> [re, im]; :class:`DomainError` if any part is NaN
+        or infinite."""
         return {
-            key: [getattr(self, key).real, getattr(self, key).imag]
-            for key in ("m11", "m12", "m21", "m22")
+            key: list(require_finite((z.real, z.imag), f"matrix entry {key}"))
+            for key, z in zip(_ENTRY_KEYS, self._m.flat)
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ComplexMatrix2":
-        e = {k: complex(v[0], v[1]) for k, v in obj.items()}
-        return cls([[e["m11"], e["m12"]], [e["m21"], e["m22"]]])
+        if set(obj) != set(_ENTRY_KEYS) or any(len(obj[k]) != 2 for k in _ENTRY_KEYS):
+            raise ValueError("matrix JSON must have exactly m11, m12, m21, m22 as [re, im]")
+        e = [complex(*require_finite(obj[k], f"matrix entry {k}")) for k in _ENTRY_KEYS]
+        return cls([e[:2], e[2:]])
 
     def __repr__(self) -> str:
         return f"ComplexMatrix2({self._m.tolist()!r})"
 
 
-def _build_blade_matrices() -> np.ndarray:
+_ENTRY_KEYS = ("m11", "m12", "m21", "m22")
+
+
+@functools.cache
+def _blade_matrices():
+    """(8, 2, 2) read-only images of the blades, built on first use."""
+    import numpy as np
+
     i = 1j
     gen = {
         "e0": np.eye(2, dtype=np.complex128),
@@ -122,12 +140,11 @@ def _build_blade_matrices() -> np.ndarray:
     return mats
 
 
-BLADE_MATRICES = _build_blade_matrices()
-
-
 def to_matrix(m: Multivector) -> ComplexMatrix2:
     """Linear extension of the generator map; an algebra homomorphism."""
-    return ComplexMatrix2(np.tensordot(m.coeffs, BLADE_MATRICES, axes=(0, 0)))
+    import numpy as np
+
+    return ComplexMatrix2(np.tensordot(m.coeffs, _blade_matrices(), axes=(0, 0)))
 
 
 def from_matrix(x: ComplexMatrix2) -> Multivector:

@@ -1,18 +1,25 @@
 """The 8-dimensional multivector of G(3,0) and its basic arithmetic.
 
-Coefficients are double precision.  Every structural constant of the
-algebra (signs, 1/2, 1/4, 1/8) is exactly representable, so identities
-not involving trigonometry hold with exact float equality.
+Coefficients are double precision, stored as a plain 8-tuple of Python
+floats.  Every structural constant of the algebra (signs, 1/2, 1/4, 1/8)
+is exactly representable, so identities not involving trigonometry hold
+with exact float equality.
+
+The public constructor checks and converts what it is given; every result
+computed here is built by :func:`_wrap`, which trusts its 8-tuple of
+floats.  Products and the coefficient-wise maps are straight-line kernels
+generated by :func:`geobyte._kernels.compile_kernel`.  numpy is imported
+only when :attr:`Multivector.coeffs` is read.
 """
 
 from __future__ import annotations
 
+import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Union
 
-import numpy as np
-
-from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, gp
+from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from .errors import DomainError
 
 Scalar = Union[int, float]
@@ -26,6 +33,38 @@ def blade_grade(name: str) -> int:
     return BLADE_GRADES[NAME_INDEX[name]]
 
 
+def _map_kernel(name: str, vectors: tuple[str, ...], blade_expr, scalars=()):
+    """Coefficient-wise kernel: output blade i is ``blade_expr(i)``."""
+    return compile_kernel(name, vectors, [blade_expr(i) for i in range(8)], scalars)
+
+
+def _signs_kernel(name: str, negated: tuple[int, ...]):
+    """Negate the blades whose grade is in ``negated``."""
+    return _map_kernel(name, ("a",), lambda i: f"-a{i}" if BLADE_GRADES[i] in negated else f"a{i}")
+
+
+_add = _map_kernel("add", ("a", "b"), lambda i: f"a{i} + b{i}")
+_sub = _map_kernel("sub", ("a", "b"), lambda i: f"a{i} - b{i}")
+_scale = _map_kernel("scale", ("a",), lambda i: f"a{i} * s", ("s",))
+_neg = _signs_kernel("neg", (0, 1, 2, 3))
+_reversion = _signs_kernel("reversion", (2, 3))
+_grade_involution = _signs_kernel("grade_involution", (1, 3))
+_clifford_conjugation = _signs_kernel("clifford_conjugation", (1, 2))
+_grade_parts = tuple(
+    _map_kernel(f"grade{k}", ("a",), lambda i, k=k: f"a{i}" if BLADE_GRADES[i] == k else "0.0")
+    for k in range(4)
+)
+
+
+def require_finite(values: Iterable[float], what: str) -> tuple[float, ...]:
+    """``values`` as a tuple of floats; :class:`DomainError` if any is NaN
+    or infinite."""
+    out = tuple(map(float, values))
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{what} must be finite, got {out!r}")
+    return out
+
+
 class Multivector:
     """Immutable element of G(3,0), stored as 8 coefficients over
     {e0, e1, e2, e3, e12, e23, e13, e123}."""
@@ -33,11 +72,10 @@ class Multivector:
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[float]):
-        c = np.asarray(coeffs, dtype=np.float64)
-        if c.shape != (8,):
+        # a string is iterable, but its characters are not coefficients
+        c = () if isinstance(coeffs, (str, bytes)) else tuple(map(float, coeffs))
+        if len(c) != 8:
             raise ValueError("Multivector needs exactly 8 coefficients")
-        c = c.copy()
-        c.setflags(write=False)
         object.__setattr__(self, "_c", c)
 
     def __setattr__(self, name, value):
@@ -47,82 +85,94 @@ class Multivector:
 
     @classmethod
     def zero(cls) -> "Multivector":
-        return cls(np.zeros(8))
+        return _wrap(_ZERO)
 
     @classmethod
     def scalar(cls, x: Scalar) -> "Multivector":
-        c = np.zeros(8)
-        c[0] = x
-        return cls(c)
+        return _wrap((float(x),) + _ZERO[1:])
 
     @classmethod
     def basis(cls, name: str) -> "Multivector":
         """Unit blade by name, e.g. 'e13'."""
         if name not in NAME_INDEX:
             raise KeyError(f"unknown basis blade {name!r}")
-        c = np.zeros(8)
-        c[NAME_INDEX[name]] = 1.0
-        return cls(c)
+        i = NAME_INDEX[name]
+        return _wrap(_ZERO[:i] + (1.0,) + _ZERO[i + 1 :])
 
     # -- access -------------------------------------------------------
 
     @property
-    def coeffs(self) -> np.ndarray:
-        """Read-only coefficient array in storage order."""
-        return self._c
+    def coeffs(self):
+        """Read-only numpy array of the coefficients in storage order,
+        built on each access."""
+        import numpy as np
+
+        c = np.array(self._c)
+        c.setflags(write=False)
+        return c
 
     def __getitem__(self, name: str) -> float:
-        return float(self._c[NAME_INDEX[name]])
+        return self._c[NAME_INDEX[name]]
 
     # -- arithmetic ---------------------------------------------------
 
     def __add__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(self._c + other._c)
+        return _wrap(_add(self._c, other._c))
 
     def __sub__(self, other: "Multivector") -> "Multivector":
         if not isinstance(other, Multivector):
             return NotImplemented
-        return Multivector(self._c - other._c)
+        return _wrap(_sub(self._c, other._c))
 
     def __neg__(self) -> "Multivector":
-        return Multivector(-self._c)
+        return _wrap(_neg(self._c))
 
     def __mul__(self, other):
         if isinstance(other, Multivector):
-            return Multivector(gp(self._c, other._c))
+            return _wrap(gp(self._c, other._c))
         if isinstance(other, (int, float)):
-            return Multivector(self._c * other)
+            return _wrap(_scale(self._c, float(other)))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(other * self._c)
+            return _wrap(_scale(self._c, float(other)))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            return Multivector(self._c / other)
+            d = float(other)
+            if d == 0.0:
+                raise DomainError("division of a multivector by zero")
+            return _wrap(tuple([x / d for x in self._c]))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, Multivector):
             return NotImplemented
-        return bool(np.array_equal(self._c, other._c))
+        # elementwise, so a NaN coefficient is unequal even to itself
+        # (tuple == would short-circuit on the identical NaN object)
+        return all(map(operator.eq, self._c, other._c))
 
     def __hash__(self):
-        return hash(self._c.tobytes())
+        # float hashing maps -0.0 and 0.0 together, as == does
+        return hash(self._c)
 
     def approx_eq(self, other: "Multivector", tol: float) -> bool:
-        """Max absolute coefficient difference at most ``tol``."""
+        """Every absolute coefficient difference at most ``tol``; false
+        when any difference is NaN."""
         if tol < 0:
             raise DomainError("tolerance must be nonnegative")
-        return bool(np.max(np.abs(self._c - other._c)) <= tol)
+        return all(abs(d) <= tol for d in _sub(self._c, other._c))
 
     def norm(self) -> float:
         """Euclidean norm of the coefficient vector."""
-        return float(np.sqrt(np.dot(self._c, self._c)))
+        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
+        return math.sqrt(
+            a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + a6 * a6 + a7 * a7
+        )
 
     # -- grade structure ----------------------------------------------
 
@@ -130,48 +180,49 @@ class Multivector:
         """Zero every coefficient whose blade grade differs from ``k``."""
         if k not in (0, 1, 2, 3):
             raise DomainError(f"grade must be 0..3, got {k}")
-        c = np.where(np.array(BLADE_GRADES) == k, self._c, 0.0)
-        return Multivector(c)
+        return _wrap(_grade_parts[k](self._c))
 
     def reversion(self) -> "Multivector":
         """Reverse the order of vector factors: grades 2 and 3 negate."""
-        return Multivector(self._c * _REVERSION_SIGNS)
+        return _wrap(_reversion(self._c))
 
     def grade_involution(self) -> "Multivector":
         """Space reversion (overline): grades 1 and 3 negate."""
-        return Multivector(self._c * _GRADE_INV_SIGNS)
+        return _wrap(_grade_involution(self._c))
 
     def clifford_conjugation(self) -> "Multivector":
         """Composite of reversion and grade involution: grades 1, 2 negate."""
-        return Multivector(self._c * _CLIFF_CONJ_SIGNS)
+        return _wrap(_clifford_conjugation(self._c))
 
     # -- serialization ------------------------------------------------
 
     def to_json(self) -> dict[str, float]:
-        return {n: float(self._c[i]) for i, n in enumerate(BLADE_NAMES)}
+        """Blade name -> coefficient; :class:`DomainError` if any
+        coefficient is NaN or infinite, which JSON cannot carry."""
+        return dict(zip(BLADE_NAMES, require_finite(self._c, "multivector JSON coefficients")))
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "Multivector":
         if set(obj) != set(BLADE_NAMES):
             raise ValueError("multivector JSON must have exactly the 8 blade keys")
-        return cls([obj[n] for n in BLADE_NAMES])
+        return cls(require_finite((obj[n] for n in BLADE_NAMES), "multivector JSON coefficients"))
 
     def __repr__(self) -> str:
-        terms = [
-            f"{self._c[i]:g}*{n}" for i, n in enumerate(BLADE_NAMES) if self._c[i] != 0
-        ]
+        terms = [f"{x:g}*{n}" for x, n in zip(self._c, BLADE_NAMES) if x != 0]
         return "Multivector<" + (" + ".join(terms) if terms else "0") + ">"
 
 
-def _grade_signs(negated: tuple[int, ...]) -> np.ndarray:
-    s = np.array([-1.0 if g in negated else 1.0 for g in BLADE_GRADES])
-    s.setflags(write=False)
-    return s
+_ZERO = (0.0,) * 8
+_new = object.__new__
+_set_coeffs = Multivector._c.__set__
 
 
-_REVERSION_SIGNS = _grade_signs((2, 3))
-_GRADE_INV_SIGNS = _grade_signs((1, 3))
-_CLIFF_CONJ_SIGNS = _grade_signs((1, 2))
+def _wrap(c: tuple[float, ...]) -> Multivector:
+    """Trusted constructor: ``c`` is already an 8-tuple of floats."""
+    m = _new(Multivector)
+    _set_coeffs(m, c)
+    return m
+
 
 INVOLUTION_KINDS = ("reversion", "grade_involution", "clifford_conjugation")
 
@@ -194,10 +245,10 @@ def geometric_product(m: Multivector, n: Multivector) -> Multivector:
 
 def linear_combine(terms: Iterable[tuple[Scalar, Multivector]]) -> Multivector:
     """Componentwise weighted sum of (scalar, multivector) pairs."""
-    acc = np.zeros(8)
+    acc = _ZERO
     for w, m in terms:
-        acc += w * m.coeffs
-    return Multivector(acc)
+        acc = _add(acc, _scale(m._c, float(w)))
+    return _wrap(acc)
 
 
 def grade_project(m: Multivector, k: int) -> Multivector:
@@ -230,10 +281,7 @@ class ComplexScalar:
         return ComplexScalar(self.re, -self.im)
 
     def embed(self) -> Multivector:
-        c = np.zeros(8)
-        c[0] = self.re
-        c[7] = self.im
-        return Multivector(c)
+        return _wrap((float(self.re), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(self.im)))
 
 
 def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multivector:

@@ -41,7 +41,7 @@ def decompose_report(m: Multivector) -> DecompositionReport:
     q_coeffs, q_res = diag_projection(m, "quaternion_diag")
     return DecompositionReport(
         value=m,
-        blade=tuple(float(x) for x in m.coeffs),
+        blade=m._c,
         structure=to_structure_coords(m),
         vector_diag=v_coeffs,
         vector_diag_residual=v_res,

@@ -15,11 +15,9 @@ import math
 from dataclasses import dataclass
 from typing import Callable
 
-import numpy as np
-
 from .clusters import LABELS, structure_element, to_structure_coords
 from .errors import DomainError
-from .multivector import E0, Multivector
+from .multivector import E0, Multivector, require_finite
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -35,12 +33,15 @@ class AxisAngle:
     theta: float
 
     def to_json(self) -> dict:
-        return {"axis": [self.c1, self.c2, self.c3], "theta": self.theta}
+        """:class:`DomainError` if any field is NaN or infinite."""
+        c1, c2, c3, theta = require_finite((self.c1, self.c2, self.c3, self.theta), "axis-angle")
+        return {"axis": [c1, c2, c3], "theta": theta}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AxisAngle":
-        ax = obj["axis"]
-        return cls(ax[0], ax[1], ax[2], obj["theta"])
+        if set(obj) != {"axis", "theta"} or len(obj["axis"]) != 3:
+            raise ValueError('axis-angle JSON must have exactly "axis" (3 numbers) and "theta"')
+        return cls(*require_finite((*obj["axis"], obj["theta"]), "axis-angle"))
 
 
 @dataclass(frozen=True)
@@ -221,8 +222,11 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
     return perm
 
 
-def rodrigues_matrix(aa: AxisAngle) -> np.ndarray:
-    """Independent 3x3 rotation-matrix oracle for the same convention."""
+def rodrigues_matrix(aa: AxisAngle):
+    """Independent 3x3 rotation-matrix oracle for the same convention, as
+    a numpy array."""
+    import numpy as np
+
     c = np.array([aa.c1, aa.c2, aa.c3])
     k = np.array(
         [[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]]

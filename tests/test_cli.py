@@ -5,12 +5,18 @@ import contextlib
 import io
 import json
 import math
+import os
 import re
+import subprocess
+import sys
+import warnings
+from pathlib import Path
 
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import geobyte
 from geobyte import (
     Multivector,
     basis_element,
@@ -219,6 +225,14 @@ def test_exit_code_bad_flags(capsys):
         (["rotate", "--axis=1e200,0,0", "--theta=1"], 1),
         (["gate", "--name", "not", "--alpha=nan,0", "--beta=0,0"], 2),
         (["gate", "--name", "hadamard", "--alpha=1.7e308,0", "--beta=1.7e308,0"], 1),
+        # finite expressions whose printed result overflows
+        (["eval", "--basis", "structure", "--", "1e308*e0+1e308*e1"], 1),
+        (["eval", "--basis", "vdiag", "--", "1e308*e1+1e308*e2+1e308*e3"], 1),
+        (
+            ["rotate", "--axis=0,0,1", "--theta=0.7853981633974483", "--target=1.7e308*e1+1.7e308*e2"],
+            1,
+        ),
+        (["cube", "--target", "1e308*e0+1e308*e1"], 1),
     ],
 )
 def test_exit_codes_for_defect_inputs(capsys, argv, code):
@@ -226,6 +240,30 @@ def test_exit_codes_for_defect_inputs(capsys, argv, code):
     assert got == code
     assert out == ""
     assert err.startswith("domain error:" if code == 1 else ("syntax error:", "usage error:"))
+
+
+def test_overflow_is_reported_without_warnings(capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        code, out, err = run(capsys, "eval", "1e308+1e308")
+    assert (code, out) == (1, "")
+    assert err.startswith("domain error:") and "RuntimeWarning" not in err
+    assert caught == []
+
+
+def test_cli_runs_without_numpy():
+    script = (
+        "import sys, geobyte, geobyte.cli\n"
+        "assert geobyte.cli.main(['eval', 'e1*e2']) == 0\n"
+        "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
+    )
+    src = str(Path(geobyte.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    proc = subprocess.run(
+        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert (proc.returncode, proc.stdout) == (0, "1.0*e12\n"), proc.stderr
 
 
 def test_eval_printed_exponents_round_trip(capsys):

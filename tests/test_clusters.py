@@ -25,10 +25,10 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.clusters import LABELS
+from geobyte.clusters import LABELS, SIGN_MATRIX
 from geobyte.errors import DomainError, SpanError
 
-from conftest import random_multivector
+from conftest import random_multivector, signed_zero_coeffs
 
 E = {name: basis_element(name) for name in BLADE_NAMES}
 
@@ -320,3 +320,26 @@ def test_structure_coords_json():
     assert StructureCoords.from_json(coords.to_json()) == coords
     with pytest.raises(ValueError):
         StructureCoords.from_json({"A": 1.0})
+
+
+def test_structure_coords_bitwise_numpy_product(rng):
+    h = np.array(SIGN_MATRIX, dtype=float)
+    zeros = np.array(list(itertools.product((0.0, -0.0), repeat=8)))
+    for c in itertools.chain(zeros, signed_zero_coeffs(rng, 2000)):
+        got = np.array(to_structure_coords(Multivector(c)).values)
+        assert got.tobytes() == (h @ c).tobytes(), c
+
+
+def test_diag_projection_against_numpy_product(rng):
+    # coefficients bit for bit against the 4x4 +-1 product; the residual
+    # norm within one ulp of numpy's (FMA-based) dot product
+    for kind in ("vector_diag", "quaternion_diag"):
+        cols = np.stack([b.coeffs for b in diag_basis(kind)], axis=1)
+        live = np.flatnonzero(np.any(cols != 0.0, axis=1))
+        g = np.rint(4.0 * cols[live].T)
+        for c in signed_zero_coeffs(rng, 1000):
+            coeffs, residual = diag_projection(Multivector(c), kind)
+            assert np.array(coeffs).tobytes() == (g @ c[live]).tobytes(), c
+            rest = np.delete(c, live)
+            want = float(np.sqrt(np.dot(rest, rest)))
+            assert abs(residual - want) <= np.spacing(want), c

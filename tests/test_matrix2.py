@@ -34,6 +34,9 @@ def test_matrix_value_semantics():
         m._m = None
     with pytest.raises(ValueError):
         m.array[0, 0] = 0
+    # hash agrees with == across signed zeros
+    zero, negative_zero = ComplexMatrix2([[0, 0], [0, 0]]), ComplexMatrix2([[-0.0, 0], [0, 0]])
+    assert zero == negative_zero and len({zero, negative_zero}) == 1
 
 
 def test_matrix_json_round_trip():

@@ -1,6 +1,7 @@
 """Core algebra: blade products, involutions, grade structure."""
 
 import itertools
+import math
 
 import numpy as np
 import pytest
@@ -173,6 +174,34 @@ def test_approx_eq(rng):
     assert not approx_eq(E["e0"], E["e1"], 0.5)
     with pytest.raises(DomainError):
         approx_eq(m, m, -1.0)
+
+
+def test_constructor_checks_its_input():
+    assert Multivector(range(8)) == Multivector([0.0, 1, 2, 3, 4, 5, 6, 7])
+    for bad in ([1.0] * 7, [1.0] * 9, "12345678", b"12345678"):
+        with pytest.raises(ValueError):
+            Multivector(bad)
+
+
+def test_hash_agrees_with_eq_on_signed_zero():
+    zero, negative_zero = Multivector([0.0] * 8), Multivector([-0.0] + [0.0] * 7)
+    assert zero == negative_zero
+    assert hash(zero) == hash(negative_zero)
+    assert len({zero, negative_zero}) == 1
+
+
+def test_nan_is_unequal_to_itself_and_never_approx_eq():
+    m = Multivector([float("nan")] + [0.0] * 7)
+    assert not m == m
+    assert m != m
+    assert not m.approx_eq(m, math.inf)
+    assert not approx_eq(Multivector.zero(), m, 1.0)
+
+
+def test_division():
+    assert E["e12"] / 2 == 0.5 * E["e12"]
+    with pytest.raises(DomainError):
+        E["e1"] / 0.0
 
 
 def test_json_round_trip(rng):
