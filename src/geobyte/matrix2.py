@@ -36,6 +36,10 @@ class ComplexMatrix2:
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix2 is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor
+        return (ComplexMatrix2, (self._m.tolist(),))
+
     @property
     def array(self):
         """The read-only 2x2 complex numpy array."""

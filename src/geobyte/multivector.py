@@ -81,6 +81,10 @@ class Multivector:
     def __setattr__(self, name, value):
         raise AttributeError("Multivector is immutable")
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor
+        return (Multivector, (self._c,))
+
     # -- constructors -------------------------------------------------
 
     @classmethod

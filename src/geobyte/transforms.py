@@ -72,12 +72,20 @@ class Quaternion:
         odd = value.grade_project(1) + value.grade_project(3)
         if not (odd.norm() <= _GRADE_TOL):
             raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
-        if require_unit and not (abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL):
-            raise DomainError("quaternion is not unit")
+        if require_unit:
+            # NaN and inf fail this check too
+            if not (abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL):
+                raise DomainError("quaternion is not unit")
+        else:
+            require_finite(value._c, "quaternion coefficients")
         object.__setattr__(self, "_value", value)
 
     def __setattr__(self, name, v):
         raise AttributeError("Quaternion is immutable")
+
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor
+        return (Quaternion, (self._value, False))
 
     @property
     def value(self) -> Multivector:
@@ -196,30 +204,49 @@ REFLECTIONS: dict[str, Callable[[Multivector], Multivector]] = {
 }
 
 
+def _build_permutations() -> dict[str, tuple[tuple[str, tuple[str, int]], ...]]:
+    """Descriptor -> ((label, (target, sign)), ...) in label order, read
+    off the product: each structure element is reflected and its
+    structure coordinates, which are exact (the sign matrix has
+    H @ H.T = 8 I), must be +-1 at one target and 0 elsewhere."""
+    table = {}
+    for op, apply in REFLECTIONS.items():
+        rows = []
+        for label in LABELS:
+            coords = to_structure_coords(apply(structure_element(label))).values
+            hot = [i for i, v in enumerate(coords) if v != 0.0]
+            if len(hot) != 1 or abs(coords[hot[0]]) != 1.0:
+                raise AssertionError(
+                    f"reflection {op!r} does not permute the structure elements"
+                )
+            rows.append((label, (LABELS[hot[0]], int(coords[hot[0]]))))
+        table[op] = tuple(rows)
+    return table
+
+
+_PERMUTATIONS = _build_permutations()
+
+
 def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
     """Signed permutation of the structure-element labels realized by a
-    basis reflection.
+    basis reflection, as a new dict in label order A..Abar.
 
     ``op`` is a key of :data:`REFLECTIONS`: "point", a basis axis name
-    ("e1".."e3") or a basis plane name ("e12"/"e23"/"e13").  Computed by
-    reflecting each element and reading its structure coordinates, which
-    are exact (the sign matrix has H @ H.T = 8 I): the image of a label is
-    +-1 at its target and 0 elsewhere.
-    """
-    if op not in REFLECTIONS:
-        raise DomainError(f"unsupported reflection descriptor {op!r}")
-    apply = REFLECTIONS[op]
+    ("e1".."e3") or a basis plane name ("e12"/"e23"/"e13").  The seven
+    permutations are derived once, at import, by reflecting each structure
+    element through the product and reading its exact structure
+    coordinates; a call only copies one out of that table.
 
-    perm: dict[str, tuple[str, int]] = {}
-    for label in LABELS:
-        coords = to_structure_coords(apply(structure_element(label))).values
-        hot = [i for i, v in enumerate(coords) if v != 0.0]
-        if len(hot) != 1 or abs(coords[hot[0]]) != 1.0:
-            raise DomainError(
-                f"reflection {op!r} does not permute the structure elements"
-            )
-        perm[label] = (LABELS[hot[0]], int(coords[hot[0]]))
-    return perm
+    They follow the paper's binary layer: every basis reflection
+    XOR-flips the polarity triple of :data:`geobyte.clusters.POLARITIES`,
+    and every sign is +1.  The point flips all three bits, the line e_i
+    flips the two bits other than i, and the plane e_jk flips the bit of
+    its normal; in each case the flipped axes are those the descriptor
+    does not name.
+    """
+    if op not in _PERMUTATIONS:
+        raise DomainError(f"unsupported reflection descriptor {op!r}")
+    return dict(_PERMUTATIONS[op])
 
 
 def rodrigues_matrix(aa: AxisAngle):

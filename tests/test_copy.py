@@ -1,0 +1,57 @@
+"""Pickling and copying: the immutable value types, and dataclasses that
+hold them, round-trip bit for bit, and unpickling goes back through each
+type's checked constructor."""
+
+import copy
+import dataclasses
+import pickle
+
+import pytest
+
+from geobyte import Multivector, Quaternion, decompose_report, project, to_matrix
+from geobyte.errors import DomainError
+
+M = Multivector([1.5, -0.0, 3.0, -4.25, 0.0, 6.0, -7.0, 1e-300])
+
+COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+def _bits(x) -> bytes:
+    if isinstance(x, Quaternion):
+        x = x.value
+    return (x.coeffs if isinstance(x, Multivector) else x.array).tobytes()
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+@pytest.mark.parametrize(
+    "value",
+    [M, Quaternion(2.0 * Multivector.basis("e0") - M.grade_project(2), require_unit=False),
+     to_matrix(M)],
+    ids=["Multivector", "Quaternion", "ComplexMatrix2"],
+)
+def test_round_trip_is_bit_identical(value, how):
+    back = COPIES[how](value)
+    assert type(back) is type(value)
+    assert _bits(back) == _bits(value)
+
+
+def test_unpickling_runs_the_constructor_checks():
+    text = pickle.dumps(Quaternion(2.0 * Multivector.basis("e0"), require_unit=False), protocol=0)
+    assert text.count(b"(F2.0\nF0.0\n") == 1
+    with pytest.raises(DomainError):  # an odd part
+        pickle.loads(text.replace(b"(F2.0\nF0.0\n", b"(F2.0\nF1.0\n"))
+    with pytest.raises(DomainError):  # a non-finite coefficient
+        pickle.loads(text.replace(b"(F2.0\n", b"(Finf\n"))
+    with pytest.raises(ValueError):  # a ninth coefficient
+        pickle.loads(text.replace(b"(F2.0\n", b"(F2.0\nF0.0\n"))
+
+
+def test_dataclasses_holding_values_copy():
+    s = project(M, "positive", "right")
+    assert copy.deepcopy(s) == s
+    d = dataclasses.asdict(decompose_report(M))
+    assert d["value"] == M and d["structure"]["values"] == decompose_report(M).structure.values

@@ -95,6 +95,8 @@ def test_degeneracy_partners():
         for ideal in ("positive", "negative"):
             partner, sign = degeneracy_partner(blade, ideal)
             assert degeneracy_partner(partner, ideal) == (blade, sign)
+    with pytest.raises(DomainError, match="'e4'"):
+        degeneracy_partner("e4", "positive")
 
 
 def test_degeneracy_partner_matrix_oracle():

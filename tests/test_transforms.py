@@ -26,7 +26,7 @@ from geobyte import (
     to_matrix,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.clusters import LABELS
+from geobyte.clusters import LABELS, POLARITIES
 from geobyte.errors import DomainError
 
 from conftest import random_multivector, random_unit_quaternion
@@ -83,8 +83,10 @@ def test_non_finite_rotations_rejected():
     for bad in (all_nan, nan * E["e0"]):
         with pytest.raises(DomainError):
             Quaternion(bad)
-    with pytest.raises(DomainError):
-        Quaternion(all_nan, require_unit=False)
+    for bad in (all_nan, Multivector([inf, 0, 0, 0, 0, 0, 0, 0]),
+                Multivector([0, 0, 0, 0, -inf, 0, 0, 0])):
+        with pytest.raises(DomainError):
+            Quaternion(bad, require_unit=False)
     with pytest.raises(DomainError):
         reflect_line(E["e1"], nan * E["e1"])
     with pytest.raises(DomainError):
@@ -283,6 +285,30 @@ def test_structure_permutation_line():
     perm = structure_permutation("e1")
     assert perm["A"] == ("Bbar", 1)
     assert perm["B"] == ("Abar", 1)
+
+
+@pytest.mark.parametrize("op", ["point", "e1", "e2", "e3", "e12", "e13", "e23"])
+def test_structure_permutation_bit_rule(op):
+    # the flipped polarity bits are the axes the descriptor does not name:
+    # all three for the point, the two other than i for the line e_i, the
+    # normal for the plane e_jk
+    named = set() if op == "point" else {int(ch) for ch in op[1:]}
+    mask = tuple(1 if axis in named else -1 for axis in (1, 2, 3))
+    by_polarity = {p: label for label, p in POLARITIES.items()}
+    perm = structure_permutation(op)
+    assert list(perm) == list(LABELS)
+    for label, (target, sign) in perm.items():
+        image = tuple(p * f for p, f in zip(POLARITIES[label], mask))
+        assert (target, sign) == (by_polarity[image], 1), (op, label)
+
+
+def test_structure_permutation_returns_a_fresh_dict():
+    expected = list(structure_permutation("e13").items())
+    first = structure_permutation("e13")
+    first["A"] = ("A", -1)
+    del first["B"]
+    structure_permutation("e13").clear()
+    assert list(structure_permutation("e13").items()) == expected
 
 
 REFLECTIONS = {
