@@ -24,7 +24,7 @@ from .clusters import (
     to_structure_coords,
 )
 from .cube import render_cube
-from .errors import DomainError, GeobyteError, ParseError, SpanError
+from .errors import DomainError, GeobyteError, ParseError, SpanError, UnknownBladeError
 from .expressions import evaluate, evaluate_text, format_expression, parse
 from .hilbert import (
     GeometricQubit,

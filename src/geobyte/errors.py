@@ -10,6 +10,13 @@ class DomainError(GeobyteError):
     (non-unit axis, wrong grade, mismatched spinor ideals, ...)."""
 
 
+class UnknownBladeError(DomainError, KeyError):
+    """A basis blade name that is none of the eight.  Also a
+    :class:`KeyError`, as a failed name lookup."""
+
+    __str__ = DomainError.__str__  # KeyError's would quote the message
+
+
 class SpanError(DomainError):
     """A multivector was decomposed against a basis family whose span
     does not contain it.  Carries the norm of the out-of-span remainder."""

@@ -4,6 +4,22 @@ geometric qubits, and the NOT / Hadamard gate analogs.
 Spinors carry their ideal (positive/negative) and variance
 (contravariant/covariant) explicitly so that ill-matched products are
 rejected instead of silently producing junk.
+
+The public :class:`Spinor` constructor checks that its value lies in the
+ideal (one more product and an ``approx_eq``).  Every spinor computed here
+is built by :func:`_spinor`, which trusts that it does:
+
+- :func:`project`, :func:`spinor_pair`, :func:`spinor_from_components`
+  and :func:`hadamard_basis_vectors` multiply by the projector itself.
+  Each coefficient of a product with P3/N3 is a sum of two halved terms,
+  so multiplying by the projector again gives the value back, exactly
+  unless halving a subnormal coefficient rounds.
+  The values that come from outside (``m``, ``alpha``, ``beta``) must be
+  finite: ``0 * inf`` would put a NaN in the product.
+- :func:`covariant` reverses a contravariant spinor: ``~(v*P) = P*~v``,
+  since P3 and N3 are their own reversion, and reversion only flips signs.
+- :func:`not_gate` multiplies on the other side from the projector, by a
+  basis blade, which only permutes and negates coefficients.
 """
 
 from __future__ import annotations
@@ -15,7 +31,7 @@ from typing import Literal
 from ._kernels import BLADE_NAMES
 from .clusters import N1, N3, P1, P3
 from .errors import DomainError
-from .multivector import E0, ComplexScalar, Multivector
+from .multivector import ComplexScalar, Multivector, require_finite
 from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
@@ -75,6 +91,19 @@ class Spinor:
         return cls(Multivector.from_json(obj["value"]), obj["ideal"], obj["variance"])
 
 
+_new = object.__new__
+_set = object.__setattr__
+
+
+def _spinor(value: Multivector, ideal: Ideal, variance: Variance) -> Spinor:
+    """Trusted constructor: ``value`` lies in the ideal by construction."""
+    s = _new(Spinor)
+    _set(s, "value", value)
+    _set(s, "ideal", ideal)
+    _set(s, "variance", variance)
+    return s
+
+
 @dataclass(frozen=True)
 class GeometricQubit:
     """Complementary pair Q*P3 (positive) and Q*N3 (negative); their sum
@@ -92,13 +121,17 @@ class ParavectorState:
 
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
-    """One-sided multiplication by P3 or N3."""
+    """One-sided multiplication by P3 or N3; ``m`` must be finite."""
     p = _projector(ideal)
     if side == "right":
-        return Spinor(m * p, ideal, "contravariant")
-    if side == "left":
-        return Spinor(p * m, ideal, "covariant")
-    raise DomainError(f"unknown side {side!r}")
+        value, variance = m * p, "contravariant"
+    elif side == "left":
+        value, variance = p * m, "covariant"
+    else:
+        raise DomainError(f"unknown side {side!r}")
+    # finite exactly when m is: each coefficient is a sum of two halves
+    require_finite(value._c, "projection")
+    return _spinor(value, ideal, variance)
 
 
 def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
@@ -109,11 +142,7 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
     """
     flip = 1 if _projector(ideal) is P3 else -1
-    try:
-        b = Multivector.basis(blade)
-    except KeyError:
-        raise DomainError(f"unknown basis blade {blade!r}") from None
-    c = (b * _E3)._c
+    c = (Multivector.basis(blade) * _E3)._c
     (k,) = [i for i, x in enumerate(c) if x != 0.0]
     return BLADE_NAMES[k], flip * int(c[k])
 
@@ -121,8 +150,8 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
 def spinor_pair(q: Quaternion) -> GeometricQubit:
     """Split a unit quaternion into its two contravariant spinor halves."""
     return GeometricQubit(
-        positive=Spinor(q.value * P3, "positive", "contravariant"),
-        negative=Spinor(q.value * N3, "negative", "contravariant"),
+        positive=_spinor(q.value * P3, "positive", "contravariant"),
+        negative=_spinor(q.value * N3, "negative", "contravariant"),
     )
 
 
@@ -130,7 +159,7 @@ def covariant(s: Spinor) -> Spinor:
     """Reversion; flips variance, keeps the ideal."""
     if s.variance != "contravariant":
         raise DomainError("covariant() expects a contravariant spinor")
-    return Spinor(s.value.reversion(), s.ideal, "covariant")
+    return _spinor(s.value.reversion(), s.ideal, "covariant")
 
 
 def inner(sc: Spinor, s: Spinor) -> Multivector:
@@ -168,12 +197,15 @@ def spinor_components(s: Spinor) -> tuple[complex, complex]:
 
 
 def spinor_from_components(alpha: complex, beta: complex) -> Spinor:
-    """alpha*P3 + beta*(e1*P3) in the positive contravariant ideal."""
+    """alpha*P3 + beta*(e1*P3) in the positive contravariant ideal; both
+    components must be finite."""
+    if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
+        raise DomainError(f"spinor components must be finite, got {alpha!r}, {beta!r}")
     value = (
         ComplexScalar.from_complex(alpha).embed() * P3
         + ComplexScalar.from_complex(beta).embed() * E1P3
     )
-    return Spinor(value, "positive", "contravariant")
+    return _spinor(value, "positive", "contravariant")
 
 
 @dataclass(frozen=True)
@@ -213,8 +245,8 @@ def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:
     Hadamard basis, normed before projection."""
     s = 2.0 ** -0.5
     return (
-        Spinor((s * (_E1 + _E3)) * P3, "positive", "contravariant"),
-        Spinor((s * (_E1 - _E3)) * P3, "positive", "contravariant"),
+        _spinor((s * (_E1 + _E3)) * P3, "positive", "contravariant"),
+        _spinor((s * (_E1 - _E3)) * P3, "positive", "contravariant"),
     )
 
 
@@ -223,4 +255,4 @@ def not_gate(s: Spinor) -> Spinor:
     ideal; involutive since e1*e1 = e0."""
     if s.variance != "contravariant":
         raise DomainError("not_gate() expects a contravariant spinor")
-    return Spinor(_E1 * s.value, s.ideal, s.variance)
+    return _spinor(_E1 * s.value, s.ideal, s.variance)

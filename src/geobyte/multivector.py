@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
-from .errors import DomainError
+from .errors import DomainError, UnknownBladeError
 
 Scalar = Union[int, float]
 
@@ -97,9 +97,10 @@ class Multivector:
 
     @classmethod
     def basis(cls, name: str) -> "Multivector":
-        """Unit blade by name, e.g. 'e13'."""
+        """Unit blade by name, e.g. 'e13'; :class:`UnknownBladeError`
+        for any other name."""
         if name not in NAME_INDEX:
-            raise KeyError(f"unknown basis blade {name!r}")
+            raise UnknownBladeError(f"unknown basis blade {name!r}")
         i = NAME_INDEX[name]
         return _wrap(_ZERO[:i] + (1.0,) + _ZERO[i + 1 :])
 

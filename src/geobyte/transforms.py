@@ -7,6 +7,19 @@ Sign conventions are pinned by the 2x2 matrix representation: a
 quaternion maps to [[alpha, -beta*], [beta, alpha*]], and the rotation
 e1 -> e2 about the e3 axis through +pi/2 fixes the anticlockwise
 orientation.
+
+The public :class:`Quaternion` constructor checks that its value is even
+and, by default, unit.  :func:`quaternion_from_axis_angle` and negation
+build their result with :func:`_quaternion`, which trusts it:
+
+- :func:`quaternion_from_axis_angle` has checked the axis (unit within
+  tolerance) and the angle (finite) itself.  Its value is cos - sin *
+  (e123 * c) for a vector c, whose grade-1 and grade-3 coefficients are
+  exact zeros.
+- Negation keeps evenness, finiteness and the norm exactly.
+
+:func:`compose` stays checked: a product of two quaternions that are unit
+within tolerance can drift past it.
 """
 
 from __future__ import annotations
@@ -17,7 +30,7 @@ from typing import Callable
 
 from .clusters import LABELS, structure_element, to_structure_coords
 from .errors import DomainError
-from .multivector import E0, Multivector, require_finite
+from .multivector import E0, E123, Multivector, _wrap, require_finite
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -69,12 +82,12 @@ class Quaternion:
     __slots__ = ("_value",)
 
     def __init__(self, value: Multivector, require_unit: bool = True):
-        odd = value.grade_project(1) + value.grade_project(3)
-        if not (odd.norm() <= _GRADE_TOL):
+        _, a1, a2, a3, _, _, _, a7 = value._c
+        # the norm of the odd blades, summed in storage order; NaN fails it
+        if not (math.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + a7 * a7) <= _GRADE_TOL):
             raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
         if require_unit:
-            # NaN and inf fail this check too
-            if not (abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL):
+            if not _is_unit(value):
                 raise DomainError("quaternion is not unit")
         else:
             require_finite(value._c, "quaternion coefficients")
@@ -99,13 +112,30 @@ class Quaternion:
         return self._value.reversion()
 
     def __neg__(self) -> "Quaternion":
-        return Quaternion(-self._value)
+        return _quaternion(-self._value)
 
     def to_json(self) -> dict[str, float]:
         return self._value.to_json()
 
     def __repr__(self) -> str:
         return f"Quaternion<{self._value!r}>"
+
+
+def _is_unit(value: Multivector) -> bool:
+    # NaN and inf fail this check too
+    return abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL
+
+
+_new = object.__new__
+_set_value = Quaternion._value.__set__
+
+
+def _quaternion(value: Multivector) -> Quaternion:
+    """Trusted constructor: ``value`` is even and finite by construction,
+    and unit wherever the caller's input was."""
+    q = _new(Quaternion)
+    _set_value(q, value)
+    return q
 
 
 def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
@@ -116,9 +146,8 @@ def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
     if not math.isfinite(aa.theta):
         raise DomainError(f"rotation angle must be finite, got {aa.theta!r}")
     half = 0.5 * aa.theta
-    c = Multivector([0, aa.c1, aa.c2, aa.c3, 0, 0, 0, 0])
-    value = math.cos(half) * E0 - math.sin(half) * (Multivector.basis("e123") * c)
-    return Quaternion(value)
+    c = _wrap((0.0, float(aa.c1), float(aa.c2), float(aa.c3), 0.0, 0.0, 0.0, 0.0))
+    return _quaternion(math.cos(half) * E0 - math.sin(half) * (E123 * c))
 
 
 def cayley_klein(q: Quaternion) -> CayleyKlein:
@@ -159,8 +188,13 @@ def rotate(m: Multivector, q: Quaternion) -> Multivector:
 
 
 def compose(q1: Quaternion, q2: Quaternion) -> Quaternion:
-    """Ordered product: applying the result equals applying q2 then q1."""
-    return Quaternion(q1.value * q2.value)
+    """Ordered product: applying the result equals applying q2 then q1.
+
+    The product is checked to be even and finite, and to be unit when
+    both factors are."""
+    return Quaternion(
+        q1.value * q2.value, require_unit=_is_unit(q1.value) and _is_unit(q2.value)
+    )
 
 
 def reflect_point(m: Multivector) -> Multivector:

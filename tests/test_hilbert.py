@@ -120,6 +120,17 @@ def test_spinor_validation():
         Spinor(P3, "positive", "sideways")
 
 
+def test_non_finite_spinor_inputs_rejected():
+    nan, inf = float("nan"), float("inf")
+    for bad in (Multivector([inf, 0, 0, 0, 0, 0, 0, 0]), nan * E["e12"]):
+        for side in ("right", "left"):
+            with pytest.raises(DomainError):
+                project(bad, "positive", side)
+    for alpha, beta in ((nan, 0), (0, complex(0, inf)), (complex(-inf, 0), 1)):
+        with pytest.raises(DomainError):
+            spinor_from_components(alpha, beta)
+
+
 def test_spinor_json():
     s = project(E["e2"], "positive", "right")
     assert Spinor.from_json(s.to_json()) == s

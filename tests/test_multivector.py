@@ -23,7 +23,7 @@ from geobyte import (
     structure_element,
 )
 from geobyte._kernels import BLADE_NAMES, BLADE_TUPLES
-from geobyte.errors import DomainError
+from geobyte.errors import DomainError, UnknownBladeError
 
 from conftest import random_multivector
 
@@ -59,6 +59,14 @@ def test_basis_elements():
     assert E["e123"]["e123"] == 1 and E["e123"].norm() == 1
     with pytest.raises(KeyError):
         Multivector.basis("e21")
+
+
+def test_unknown_blade_is_a_domain_error():
+    for name in ("e4", "e21", ""):
+        with pytest.raises(UnknownBladeError) as info:
+            basis_element(name)
+        assert isinstance(info.value, DomainError) and isinstance(info.value, KeyError)
+        assert str(info.value) == f"unknown basis blade {name!r}"
 
 
 def test_blade_product_fixtures():

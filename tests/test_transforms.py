@@ -199,6 +199,23 @@ def test_compose():
     assert not compose(qx, qy).value.approx_eq(compose(qy, qx).value, 1e-6)
 
 
+def test_non_unit_quaternions_negate_and_compose():
+    q = Quaternion(2.0 * E["e0"] + E["e12"], require_unit=False)
+    assert (-q).value == -q.value
+    assert compose(q, q).value == q.value * q.value
+    assert compose(q, Quaternion.identity()).value == q.value
+    big = Quaternion(1e200 * E["e0"], require_unit=False)
+    with pytest.raises(DomainError):  # finiteness is checked always
+        compose(big, big)
+
+
+def test_compose_of_unit_quaternions_is_checked_for_unit_norm():
+    # each factor is unit within tolerance, their product is not
+    q = Quaternion(math.sqrt(1.0 + 0.9e-9) * E["e0"])
+    with pytest.raises(DomainError, match="not unit"):
+        compose(q, q)
+
+
 def test_compose_matches_sequential_rotation(rng):
     q1, q2 = random_unit_quaternion(rng), random_unit_quaternion(rng)
     m = random_multivector(rng)
