@@ -3,6 +3,14 @@
 Exit codes: 0 success, 1 domain error, 2 syntax or usage error.  Every
 number a command prints passes :func:`_finite` first, so a value that
 overflows after parsing exits 1 instead of printing inf or nan.
+
+Dispatch: when the first argument names a subcommand, ``main`` hands the
+rest straight to that subcommand's parser, and any argument it leaves
+over is reported by the top-level parser as "unrecognized arguments",
+as ``parse_args`` would.  Every other command line (help, an empty or
+unknown command, a leading ``--``) goes through the top-level
+``parse_args``.  Both routes print the same output and exit codes;
+the direct one skips the top-level scan of every argument.
 """
 
 from __future__ import annotations
@@ -164,7 +172,8 @@ def _cmd_signature(args) -> int:
 @functools.cache
 def build_parser() -> argparse.ArgumentParser:
     """The CLI's argument parser, built once per process; ``main`` only
-    reads it, so repeated ``main(argv)`` calls stay independent."""
+    reads it, so repeated ``main(argv)`` calls stay independent.  Its
+    ``commands`` attribute maps each subcommand name to its parser."""
     parser = argparse.ArgumentParser(
         prog="geobyte",
         description="Geometric algebra G(3,0) engine: evaluate Clifford "
@@ -172,6 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         "gate analogs, and draw the unit-cube structure view.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    parser.commands = sub.choices
 
     p = sub.add_parser("eval", help="evaluate an expression")
     p.add_argument("expr")
@@ -219,9 +229,17 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
+    argv = sys.argv[1:] if argv is None else list(argv)
     parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        command = parser.commands.get(argv[0]) if argv else None
+        if command is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extras = command.parse_known_args(argv[1:])
+            if extras:
+                parser.error(f"unrecognized arguments: {' '.join(extras)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -1,5 +1,14 @@
-"""Expression language for Clifford values: a small recursive-descent
-parser and evaluator.
+"""Expression language for Clifford values: one recursive-descent parser
+and an evaluator.
+
+There is one grammar and one parser.  It builds its result through six
+node builders chosen by the caller: :func:`parse` passes the AST classes
+and returns the tree, while :func:`evaluate_text` passes multivector
+operations and folds each rule's value as the rule is reduced, so no tree
+is built on that path.  Both see the same tokens, in the same order, and
+raise the same :class:`ParseError` for the same text; the values agree
+bit for bit with :func:`evaluate` of the tree, whose shape and operand
+order they follow.
 
 Grammar (products need an explicit '*'; "e12" is a single token):
 
@@ -25,7 +34,6 @@ from __future__ import annotations
 import math
 import operator
 import re
-from dataclasses import dataclass
 from typing import Iterator, Union
 
 from ._kernels import BLADE_NAMES
@@ -36,40 +44,88 @@ from .multivector import Multivector
 # -- AST ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Literal:
-    value: float
+class _AstNode:
+    """Base of the immutable AST nodes: equal to a node of the same class
+    with equal fields, hashable, and shown like a dataclass.
+
+    Plain ``__slots__`` classes, because making six frozen dataclasses took
+    about half of this module's import time; not ``NamedTuple``, whose
+    nodes of different classes compare equal.
+    """
+
+    __slots__ = ()
+
+    def _fields(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._fields() == other._fields()
+
+    def __hash__(self):
+        return hash(self._fields())
+
+    def __repr__(self):
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        return f"{type(self).__name__}({fields})"
+
+    def __reduce__(self):
+        return (type(self), self._fields())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"{type(self).__name__} is immutable")
+
+    __delattr__ = __setattr__
 
 
-@dataclass(frozen=True)
-class Imaginary:
-    pass
+_set = object.__setattr__
 
 
-@dataclass(frozen=True)
-class Const:
-    name: str
+class Literal(_AstNode):
+    __slots__ = ("value",)
+
+    def __init__(self, value: float):
+        _set(self, "value", value)
 
 
-@dataclass(frozen=True)
-class Neg:
-    child: "Expr"
+class Imaginary(_AstNode):
+    __slots__ = ()
 
 
-@dataclass(frozen=True)
-class Func:
-    name: str
-    child: "Expr"
+class Const(_AstNode):
+    __slots__ = ("name",)
+
+    def __init__(self, name: str):
+        _set(self, "name", name)
 
 
-@dataclass(frozen=True)
-class BinOp:
-    op: str  # "+", "-", "*"
-    left: "Expr"
-    right: "Expr"
+class Neg(_AstNode):
+    __slots__ = ("child",)
+
+    def __init__(self, child: "Expr"):
+        _set(self, "child", child)
+
+
+class Func(_AstNode):
+    __slots__ = ("name", "child")
+
+    def __init__(self, name: str, child: "Expr"):
+        _set(self, "name", name)
+        _set(self, "child", child)
+
+
+class BinOp(_AstNode):
+    __slots__ = ("op", "left", "right")
+
+    def __init__(self, op: str, left: "Expr", right: "Expr"):  # op: "+", "-", "*"
+        _set(self, "op", op)
+        _set(self, "left", left)
+        _set(self, "right", right)
 
 
 Expr = Union[Literal, Imaginary, Const, Neg, Func, BinOp]
+_Node = Union[Expr, Multivector]  # what a parser's builders return
 
 FUNC_NAMES = ("rev", "bar", "conj")
 
@@ -139,7 +195,12 @@ def _unexpected(tok: Token, expected: frozenset[str]) -> ParseError:
 
 
 class _Parser:
-    def __init__(self, text: str):
+    """The grammar above; ``build`` holds the six node builders, in the
+    order number, i, constant, negation, function and binary operator.
+    A builder must not raise, so every error is the grammar's own."""
+
+    def __init__(self, text: str, build: tuple):
+        self.number, self.imaginary, self.const, self.neg, self.func, self.binop = build
         self.tokens = _tokenize(text)
         self.tok = next(self.tokens)
         self.depth = 0
@@ -161,28 +222,28 @@ class _Parser:
                 f"nesting deeper than {MAX_DEPTH} levels", tok[2], frozenset({"number", "constant", "i"})
             )
 
-    def expr(self) -> Expr:
+    def expr(self) -> _Node:
         node = self.term()
         while self.tok[1] in ("+", "-"):
-            node = BinOp(self.advance()[1], node, self.term())
+            node = self.binop(self.advance()[1], node, self.term())
         return node
 
-    def term(self) -> Expr:
+    def term(self) -> _Node:
         node = self.factor()
         while self.tok[1] == "*":
             self.advance()
-            node = BinOp("*", node, self.factor())
+            node = self.binop("*", node, self.factor())
         return node
 
-    def factor(self) -> Expr:
+    def factor(self) -> _Node:
         if self.tok[1] != "-":
             return self.atom()
         self.enter(self.advance())
-        node = Neg(self.factor())
+        node = self.neg(self.factor())
         self.depth -= 1
         return node
 
-    def group(self, opener: Token) -> Expr:
+    def group(self, opener: Token) -> _Node:
         """``expr ")"`` one nesting level below ``opener``."""
         self.enter(opener)
         node = self.expr()
@@ -190,33 +251,40 @@ class _Parser:
         self.depth -= 1
         return node
 
-    def atom(self) -> Expr:
+    def atom(self) -> _Node:
         tok = self.advance()
         kind, text, offset, value = tok
         if kind == "number":
-            return Literal(value)
+            return self.number(value)
         if text == "(":
             return self.group(tok)
         if kind == "name":
             if text == "i":
-                return Imaginary()
+                return self.imaginary()
             if text in FUNC_NAMES:
                 self.expect("(")
-                return Func(text, self.group(tok))
+                return self.func(text, self.group(tok))
             if text in _CONSTANTS:
-                return Const(text)
+                return self.const(text)
             raise ParseError(f"unknown name {text!r}", offset, frozenset({"constant", "function"}))
         raise _unexpected(tok, _ATOM_EXPECTED)
 
 
-def parse(text: str) -> Expr:
-    """Parse an expression; raises :class:`ParseError` with byte offset."""
-    parser = _Parser(text)
+def _parse(text: str, build: tuple) -> _Node:
+    parser = _Parser(text, build)
     node = parser.expr()
     kind, rest, offset, _ = parser.tok
     if kind != "end":
         raise ParseError(f"trailing input {rest!r}", offset, frozenset({"+", "-", "*", "end"}))
     return node
+
+
+_AST_BUILD = (Literal, Imaginary, Const, Neg, Func, BinOp)
+
+
+def parse(text: str) -> Expr:
+    """Parse an expression; raises :class:`ParseError` with byte offset."""
+    return _parse(text, _AST_BUILD)
 
 
 _FUNC_IMPL = {
@@ -228,6 +296,16 @@ _FUNC_IMPL = {
 _BINOP_IMPL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 
 _I = Multivector.basis("e123")
+
+# the operations :func:`evaluate` applies to each node, as parser builders
+_VALUE_BUILD = (
+    Multivector.scalar,
+    lambda: _I,
+    _CONSTANTS.__getitem__,
+    operator.neg,
+    lambda name, child: _FUNC_IMPL[name](child),
+    lambda op, left, right: _BINOP_IMPL[op](left, right),
+)
 
 
 def evaluate(e: Expr) -> Multivector:
@@ -258,8 +336,9 @@ def evaluate(e: Expr) -> Multivector:
 
 
 def evaluate_text(text: str) -> Multivector:
-    """Parse and evaluate; :class:`DomainError` if the value overflowed."""
-    m = evaluate(parse(text))
+    """The value of ``evaluate(parse(text))``, folded while parsing;
+    :class:`DomainError` if the value overflowed."""
+    m = _parse(text, _VALUE_BUILD)
     if not all(map(math.isfinite, m._c)):
         raise DomainError(f"expression value is not finite: {m!r}")
     return m

@@ -79,6 +79,10 @@ class Spinor:
                 f"value does not lie in the {self.ideal} {self.variance} ideal"
             )
 
+    def __reduce__(self):
+        # pickle and copy rebuild through the checked constructor
+        return (Spinor, (self.value, self.ideal, self.variance))
+
     def to_json(self) -> dict:
         return {
             "ideal": self.ideal,

@@ -292,6 +292,75 @@ def test_main_is_reentrant(capsys):
     assert build_parser() is build_parser()
 
 
+def _reference_main(argv):
+    """``main`` with every argv parsed by the top-level ``parse_args``."""
+    parser = build_parser()
+    try:
+        args = parser.parse_args(argv)
+    except SystemExit as exc:
+        return exc.code if isinstance(exc.code, int) else 2
+    try:
+        return args.func(args)
+    except geobyte.ParseError as exc:
+        print(f"syntax error: {exc}", file=sys.stderr)
+        return 2
+    except geobyte.cli._UsageError as exc:
+        print(f"usage error: {exc}", file=sys.stderr)
+        return 2
+    except geobyte.DomainError as exc:
+        print(f"domain error: {exc}", file=sys.stderr)
+        return 1
+
+
+_COMMANDS = ("eval", "rotate", "reflect", "project", "gate", "cube", "signature")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "e1*e2", "--basis", "structure", "--format", "json"],
+        ["rotate", "--axis", "0,0,1", "--theta", "1.5708", "--target", "e1"],
+        ["reflect", "--in", "e23", "--target", "A"],
+        ["project", "--ideal", "neg", "--side", "left", "--target", "e1+e12"],
+        ["gate", "--name", "not", "--alpha", "1,0", "--beta", "0,1"],
+        ["cube", "--target", "e12", "--format", "svg"],
+        ["signature", "--blade", "e13"],
+        *([cmd, "-h"] for cmd in _COMMANDS),
+        ["eval", "e1", "-h", "junk"],
+        ["eval", "e1", "extra"],
+        ["cube", "--target", "e1", "e2", "e3"],
+        ["signature", "--blade", "e1", "--unknown"],
+        ["eval", "e1", "--bas", "structure"],
+        ["eval", "e1", "--format=json"],
+        ["eval", "--", "-e1"],
+        ["eval", "e1", "--", "--basis"],
+        ["--", "eval", "e1"],
+        ["eval"],
+        ["rotate", "--axis", "0,0,1"],
+        ["eval", "e1", "--basis", "nope"],
+        ["eval", "e1 +"],
+        ["eval", "1e308+1e308"],
+        [],
+        ["-h"],
+        ["--he"],
+        ["nope"],
+        ["EVAL", "e1"],
+        ["-x", "eval", "e1"],
+    ],
+    ids=" ".join,
+)
+def test_dispatch_matches_top_level_parse_args(capsys, argv):
+    code = main(list(argv))
+    got = code, *capsys.readouterr()
+    code = _reference_main(list(argv))
+    assert got == (code, *capsys.readouterr())
+
+
+def test_main_reads_sys_argv(capsys, monkeypatch):
+    monkeypatch.setattr(sys, "argv", ["geobyte", "signature", "--blade", "e23"])
+    assert (main(), capsys.readouterr().out) == (0, "+--\n")
+
+
 # -- the exit-code contract on arbitrary input ---------------------------
 
 # how repr, %g and json.dumps spell a non-finite float

@@ -8,7 +8,16 @@ import pickle
 
 import pytest
 
-from geobyte import Multivector, Quaternion, decompose_report, project, to_matrix
+from geobyte import (
+    Multivector,
+    Quaternion,
+    Spinor,
+    basis_element,
+    decompose_report,
+    parse,
+    project,
+    to_matrix,
+)
 from geobyte.errors import DomainError
 
 M = Multivector([1.5, -0.0, 3.0, -4.25, 0.0, 6.0, -7.0, 1e-300])
@@ -21,6 +30,8 @@ COPIES = {
 
 
 def _bits(x) -> bytes:
+    if isinstance(x, Spinor):
+        return _bits(x.value) + f" {x.ideal} {x.variance}".encode()
     if isinstance(x, Quaternion):
         x = x.value
     return (x.coeffs if isinstance(x, Multivector) else x.array).tobytes()
@@ -30,8 +41,8 @@ def _bits(x) -> bytes:
 @pytest.mark.parametrize(
     "value",
     [M, Quaternion(2.0 * Multivector.basis("e0") - M.grade_project(2), require_unit=False),
-     to_matrix(M)],
-    ids=["Multivector", "Quaternion", "ComplexMatrix2"],
+     to_matrix(M), project(M, "negative", "left")],
+    ids=["Multivector", "Quaternion", "ComplexMatrix2", "Spinor"],
 )
 def test_round_trip_is_bit_identical(value, how):
     back = COPIES[how](value)
@@ -50,8 +61,25 @@ def test_unpickling_runs_the_constructor_checks():
         pickle.loads(text.replace(b"(F2.0\n", b"(F2.0\nF0.0\n"))
 
 
+def test_unpickling_a_spinor_runs_the_ideal_check():
+    s = project(basis_element("e1"), "positive", "right")
+    text = pickle.dumps(s, protocol=0)
+    assert pickle.loads(text) == s
+    assert text.count(b"positive") == 1 and text.count(b"contravariant") == 1
+    with pytest.raises(DomainError, match="does not lie in the negative"):
+        pickle.loads(text.replace(b"positive", b"negative"))
+    with pytest.raises(DomainError, match="does not lie in the positive covariant"):
+        pickle.loads(text.replace(b"contravariant", b"covariant"))
+
+
 def test_dataclasses_holding_values_copy():
     s = project(M, "positive", "right")
     assert copy.deepcopy(s) == s
     d = dataclasses.asdict(decompose_report(M))
     assert d["value"] == M and d["structure"]["values"] == decompose_report(M).structure.values
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_expression_trees_copy(how):
+    tree = parse("rev(-1/2*(e1+i)) - A*bar(P3)")
+    assert COPIES[how](tree) == tree

@@ -1,8 +1,11 @@
 """Expression grammar: parsing, evaluation, printing, and the printed
 product identities expressed in expression syntax."""
 
+import math
+import struct
+
 import pytest
-from hypothesis import example, given
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from geobyte import (
@@ -18,6 +21,7 @@ from geobyte._kernels import BLADE_NAMES
 from geobyte.clusters import LABELS
 from geobyte.errors import DomainError, ParseError
 from geobyte.expressions import (
+    FUNC_NAMES,
     MAX_DEPTH,
     BinOp,
     Const,
@@ -238,3 +242,68 @@ def test_non_finite_value_is_a_domain_error():
     for text in ("1e300*1e300", f"{big}*{big}", "1e308+1e308"):
         with pytest.raises(DomainError):
             evaluate_text(text)
+
+
+# -- one parser, two builders: evaluate_text agrees with evaluate(parse) --
+
+_ATOMS = st.sampled_from(
+    ["0", "1", "2.5", ".5", "3/4", "1e300", "7e-310", "i", "e0", "e1", "e13", "e123", "P3", "N1", "Abar", "D"]
+)
+_VALID = st.recursive(
+    _ATOMS,
+    lambda inner: st.one_of(
+        st.tuples(inner, st.sampled_from(["+", "-", "*", " * ", " - "]), inner).map("".join),
+        inner.map("-{}".format),
+        inner.map("({})".format),
+        st.tuples(st.sampled_from(FUNC_NAMES), inner).map("{0[0]}({0[1]})".format),
+    ),
+    max_leaves=40,
+)
+# a valid text with a few arbitrary characters spliced in, or its tail cut
+_SPLICED = st.tuples(_VALID, st.integers(0, 400), st.text(max_size=3)).map(
+    lambda t: t[0][: t[1]] + t[2] + t[0][t[1] :]
+)
+_NESTED = st.tuples(
+    st.sampled_from(["(", "-", "rev(", "-(", "conj(-"]),
+    st.integers(MAX_DEPTH - 2, MAX_DEPTH + 2),
+    _VALID,
+    st.booleans(),
+).map(lambda t: t[0] * t[1] + t[2] + ")" * (t[1] * t[0].count("(") - t[3]))
+_TEXTS = st.one_of(
+    _VALID,
+    _SPLICED,
+    _NESTED,
+    st.text(alphabet="0123456789.eE+-*/() iPNABCDbarevconj@", max_size=40),
+    st.text(max_size=20),
+)
+
+
+def _bits(m: Multivector) -> bytes:
+    return struct.pack("8d", *m._c)
+
+
+def _outcome(route):
+    """The value's bits, or the ParseError's message, offset and expected
+    set; a value that is not finite is reported as such."""
+    try:
+        m = route()
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.offset, exc.expected
+    except DomainError:
+        return "not finite"
+    if not all(map(math.isfinite, m._c)):
+        return "not finite"
+    return _bits(m)
+
+
+@settings(max_examples=400)
+@given(_TEXTS)
+@example("(" * MAX_DEPTH + "e1" + ")" * MAX_DEPTH)
+@example("-" * (MAX_DEPTH + 1) + "e1")
+@example("(" * 5000 + "@")
+@example("1e300*1e300 + @")
+@example("-0*e1 + 0")
+@example("1e308+1e308")
+def test_evaluate_text_matches_evaluate_of_parse(text):
+    folded = _outcome(lambda: evaluate_text(text))
+    assert folded == _outcome(lambda: evaluate(parse(text)))
