@@ -6,103 +6,105 @@ extended by products; every printed matrix elsewhere is a test fixture,
 not a definition.  Used as the independent oracle for the rest of the
 package, and exposed publicly for users coming from matrix habits.
 
-This is the one module built on numpy arrays; it imports numpy on first
-use, so importing geobyte does not.
+A matrix is four Python complex numbers with hand-written 2x2 arithmetic,
+independent of the multivector product kernel; numpy is imported only
+when :attr:`ComplexMatrix2.array` is read.
 """
 
 from __future__ import annotations
 
-import functools
+import operator
 
-from ._kernels import BLADE_NAMES, NAME_INDEX
-from .multivector import Multivector, require_finite
+from ._kernels import BLADE_NAMES
+from .multivector import Multivector, _wrap, require_finite
 
 
 class ComplexMatrix2:
-    """Plain 2x2 complex matrix; no implicit normalization anywhere."""
+    """Plain 2x2 complex matrix; no implicit normalization anywhere.
 
-    __slots__ = ("_m",)
+    Built from two rows of two numbers, as nested sequences or a numpy
+    array, and stored row by row as (m11, m12, m21, m22)."""
+
+    __slots__ = ("_z",)
 
     def __init__(self, entries):
-        import numpy as np
-
-        m = np.asarray(entries, dtype=np.complex128)
-        if m.shape != (2, 2):
-            raise ValueError("ComplexMatrix2 needs a 2x2 array")
-        m = m.copy()
-        m.setflags(write=False)
-        object.__setattr__(self, "_m", m)
+        if hasattr(entries, "tolist"):  # a numpy array, as nested lists
+            entries = entries.tolist()
+        try:
+            # a string is iterable, but its characters are not a row
+            (a, b), (c, d) = (() if isinstance(row, (str, bytes)) else row for row in entries)
+            z = tuple(map(complex, (a, b, c, d)))
+        except (TypeError, ValueError):
+            raise ValueError("ComplexMatrix2 needs a 2x2 array") from None
+        object.__setattr__(self, "_z", z)
 
     def __setattr__(self, name, value):
         raise AttributeError("ComplexMatrix2 is immutable")
 
     def __reduce__(self):
         # pickle and copy rebuild through the checked constructor
-        return (ComplexMatrix2, (self._m.tolist(),))
+        return (ComplexMatrix2, ((self._z[:2], self._z[2:]),))
 
     @property
     def array(self):
-        """The read-only 2x2 complex numpy array."""
-        return self._m
+        """Read-only 2x2 complex numpy array, built on each access."""
+        import numpy as np
 
-    @property
-    def m11(self) -> complex:
-        return complex(self._m[0, 0])
+        a = np.array(self._z, dtype=np.complex128).reshape(2, 2)
+        a.setflags(write=False)
+        return a
 
-    @property
-    def m12(self) -> complex:
-        return complex(self._m[0, 1])
-
-    @property
-    def m21(self) -> complex:
-        return complex(self._m[1, 0])
-
-    @property
-    def m22(self) -> complex:
-        return complex(self._m[1, 1])
+    # the entries, as Python complex
+    m11 = property(lambda self: self._z[0])
+    m12 = property(lambda self: self._z[1])
+    m21 = property(lambda self: self._z[2])
+    m22 = property(lambda self: self._z[3])
 
     def __add__(self, other: "ComplexMatrix2") -> "ComplexMatrix2":
-        return ComplexMatrix2(self._m + other._m)
+        return _matrix(tuple(map(operator.add, self._z, other._z)))
 
     def __sub__(self, other: "ComplexMatrix2") -> "ComplexMatrix2":
-        return ComplexMatrix2(self._m - other._m)
+        return _matrix(tuple(map(operator.sub, self._z, other._z)))
 
     def __neg__(self) -> "ComplexMatrix2":
-        return ComplexMatrix2(-self._m)
+        return _matrix(tuple(map(operator.neg, self._z)))
 
     def __mul__(self, other):
         if isinstance(other, ComplexMatrix2):
-            return ComplexMatrix2(self._m @ other._m)
+            return _matrix(_matmul(self._z, other._z))
         if isinstance(other, (int, float, complex)):
-            return ComplexMatrix2(self._m * other)
+            return _matrix(tuple([z * other for z in self._z]))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float, complex)):
-            return ComplexMatrix2(other * self._m)
+            return _matrix(tuple([other * z for z in self._z]))
         return NotImplemented
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, ComplexMatrix2):
             return NotImplemented
-        return bool((self._m == other._m).all())
+        # entrywise, so a NaN entry is unequal even to itself
+        return all(map(operator.eq, self._z, other._z))
 
     def __hash__(self):
         # complex hashing maps -0.0 and 0.0 together, as == does
-        return hash(tuple(self._m.flat))
+        return hash(self._z)
 
     def approx_eq(self, other: "ComplexMatrix2", tol: float) -> bool:
-        return bool(abs(self._m - other._m).max() <= tol)
+        """Every entry within ``tol`` in modulus; false when any is NaN."""
+        return all(abs(a - b) <= tol for a, b in zip(self._z, other._z))
 
     def det(self) -> complex:
-        return complex(self._m[0, 0] * self._m[1, 1] - self._m[0, 1] * self._m[1, 0])
+        a, b, c, d = self._z
+        return a * d - b * c
 
     def to_json(self) -> dict:
         """Entry name -> [re, im]; :class:`DomainError` if any part is NaN
         or infinite."""
         return {
             key: list(require_finite((z.real, z.imag), f"matrix entry {key}"))
-            for key, z in zip(_ENTRY_KEYS, self._m.flat)
+            for key, z in zip(_ENTRY_KEYS, self._z)
         }
 
     @classmethod
@@ -113,68 +115,66 @@ class ComplexMatrix2:
         return cls([e[:2], e[2:]])
 
     def __repr__(self) -> str:
-        return f"ComplexMatrix2({self._m.tolist()!r})"
+        return f"ComplexMatrix2({[list(self._z[:2]), list(self._z[2:])]!r})"
 
 
 _ENTRY_KEYS = ("m11", "m12", "m21", "m22")
+_set_entries = ComplexMatrix2._z.__set__
 
 
-@functools.cache
-def _blade_matrices():
-    """(8, 2, 2) read-only images of the blades, built on first use."""
-    import numpy as np
+def _matrix(z: tuple[complex, ...]) -> ComplexMatrix2:
+    """Trusted constructor: ``z`` is already a 4-tuple of complex."""
+    x = object.__new__(ComplexMatrix2)
+    _set_entries(x, z)
+    return x
 
-    i = 1j
-    gen = {
-        "e0": np.eye(2, dtype=np.complex128),
-        "e1": np.array([[0, 1], [1, 0]], dtype=np.complex128),
-        "e2": np.array([[0, -i], [i, 0]], dtype=np.complex128),
-        "e3": np.array([[1, 0], [0, -1]], dtype=np.complex128),
-    }
-    mats = np.zeros((8, 2, 2), dtype=np.complex128)
-    for name in BLADE_NAMES:
-        if name in gen:
-            m = gen[name]
-        else:
-            m = gen["e0"]
-            for ch in name[1:]:
-                m = m @ gen["e" + ch]
-        mats[NAME_INDEX[name]] = m
-    mats.setflags(write=False)
-    return mats
+
+def _matmul(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:
+    a, b, c, d = x
+    e, f, g, h = y
+    return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
+
+
+_GENERATORS = {"e0": (1 + 0j, 0j, 0j, 1 + 0j), "e1": (0j, 1 + 0j, 1 + 0j, 0j),
+               "e2": (0j, -1j, 1j, 0j), "e3": (1 + 0j, 0j, 0j, -1 + 0j)}
+
+
+def _blade_image(name: str) -> tuple[complex, ...]:
+    m = _GENERATORS["e0"]
+    for ch in name[1:]:
+        m = _matmul(m, _GENERATORS["e" + ch])
+    return m
+
+
+# entry k of every blade image, in blade order.  Each part of an entry
+# sums exactly two nonzero terms, so the order fixes only a zero's sign.
+_IMAGE_ENTRIES = tuple(zip(*map(_blade_image, BLADE_NAMES)))
 
 
 def to_matrix(m: Multivector) -> ComplexMatrix2:
     """Linear extension of the generator map; an algebra homomorphism."""
-    import numpy as np
-
-    return ComplexMatrix2(np.tensordot(m.coeffs, _blade_matrices(), axes=(0, 0)))
+    return _matrix(tuple([sum(map(operator.mul, images, m._c)) for images in _IMAGE_ENTRIES]))
 
 
 def from_matrix(x: ComplexMatrix2) -> Multivector:
     """Exact inverse of :func:`to_matrix` via Pauli trace formulas."""
-    a = x.array
-    # components over {I, s1, s2, s3} with complex weights
-    w0 = (a[0, 0] + a[1, 1]) / 2.0
-    w1 = (a[0, 1] + a[1, 0]) / 2.0
-    w2 = (a[0, 1] - a[1, 0]) * 0.5j  # tr(s2 @ a)/2
-    w3 = (a[0, 0] - a[1, 1]) / 2.0
-    # real parts are the grade-0/1 coefficients; imaginary parts sit on
-    # the blade whose matrix is i times the Pauli one
-    return Multivector(
-        [
-            w0.real,  # e0
-            w1.real,  # e1
-            w2.real,  # e2
-            w3.real,  # e3
-            w3.imag,  # e12 -> i*s3
-            w1.imag,  # e23 -> i*s1
-            -w2.imag,  # e13 -> -i*s2
-            w0.imag,  # e123 -> i*I
-        ]
-    )
+    a11, a12, a21, a22 = x._z
+    # w_k = tr(s_k a)/2 over {I, s1, s2, s3}: Re w_k is a grade-0/1
+    # coefficient, Im w_k that of the blade whose matrix is +-i*s_k.
+    # Real arithmetic keeps an overflow in the coefficient that overflowed.
+    return _wrap((
+        (a11.real + a22.real) / 2,  # e0 = Re w0
+        (a12.real + a21.real) / 2,  # e1 = Re w1
+        (a21.imag - a12.imag) / 2,  # e2 = Re w2
+        (a11.real - a22.real) / 2,  # e3 = Re w3
+        (a11.imag - a22.imag) / 2,  # e12 -> i*s3
+        (a12.imag + a21.imag) / 2,  # e23 -> i*s1
+        (a21.real - a12.real) / 2,  # e13 -> -i*s2
+        (a11.imag + a22.imag) / 2,  # e123 -> i*I
+    ))
 
 
 def adjoint(x: ComplexMatrix2) -> ComplexMatrix2:
     """Conjugate transpose; matches reversion under the blade map."""
-    return ComplexMatrix2(x.array.conj().T)
+    a, b, c, d = x._z
+    return _matrix((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))

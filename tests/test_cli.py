@@ -251,19 +251,82 @@ def test_overflow_is_reported_without_warnings(capsys):
     assert caught == []
 
 
+def _run_python(script: str, *args: str) -> subprocess.CompletedProcess:
+    """``script`` in a fresh interpreter that imports this geobyte."""
+    src = str(Path(geobyte.__file__).resolve().parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = {**os.environ, "PYTHONPATH": path}
+    return subprocess.run(
+        [sys.executable, "-c", script, *args], env=env, capture_output=True, text=True, timeout=60
+    )
+
+
 def test_cli_runs_without_numpy():
     script = (
         "import sys, geobyte, geobyte.cli\n"
         "assert geobyte.cli.main(['eval', 'e1*e2']) == 0\n"
+        "x = geobyte.to_matrix(geobyte.basis_element('e12'))\n"
+        "assert geobyte.from_matrix(x * x) == -geobyte.basis_element('e0')\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"
     )
-    src = str(Path(geobyte.__file__).resolve().parents[1])
-    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
-    env = {**os.environ, "PYTHONPATH": path}
-    proc = subprocess.run(
-        [sys.executable, "-c", script], env=env, capture_output=True, text=True, timeout=60
-    )
+    proc = _run_python(script)
     assert (proc.returncode, proc.stdout) == (0, "1.0*e12\n"), proc.stderr
+
+
+_NO_NUMPY_ARGVS = [
+    ["eval", "e1*e2", "--basis", "structure", "--format", "json"],
+    ["rotate", "--axis", "0,0,1", "--theta", "1.5708", "--target", "e1"],
+    ["reflect", "--in", "e23", "--target", "A"],
+    ["project", "--ideal", "neg", "--side", "left", "--target", "e1+e12"],
+    ["gate", "--name", "hadamard", "--alpha", "1,0", "--beta", "0,1"],
+    ["cube", "--target", "e12", "--format", "svg"],
+    ["signature", "--blade", "e13"],
+]
+
+# the library with numpy blocked: what needs no numpy works, and the
+# three numpy-valued accessors raise ImportError
+_NUMPY_BLOCKED = """
+import copy, contextlib, io, json, pickle, sys
+sys.modules["numpy"] = None
+import geobyte.cli
+from geobyte import (AxisAngle, ComplexMatrix2, Multivector, adjoint, basis_element,
+                     from_matrix, rodrigues_matrix, to_matrix)
+results = []
+for argv in json.loads(sys.argv[1]):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        results.append([geobyte.cli.main(argv), out.getvalue()])
+m = Multivector([0.5, -1, 0.25, 2, 0, 1, -0.75, 3])
+n = Multivector([1, 0.5, 0, -2, 0.25, 0, 1, -1])
+x, y = to_matrix(m), to_matrix(n)
+assert from_matrix(x) == m and from_matrix(y) == n
+assert from_matrix(x + y) == m + n and from_matrix(x - y) == m - n
+assert from_matrix(x * y) == m * n and from_matrix(-x) == -m
+assert from_matrix(2 * x) == 2 * m and from_matrix(x * 0.5) == m * 0.5
+assert adjoint(x) == to_matrix(m.reversion())
+assert to_matrix(basis_element("e12")).det() == 1 and to_matrix(basis_element("e1")).det() == -1
+assert x.approx_eq(to_matrix(m + 1e-15 * basis_element("e3")), 1e-14) and not x.approx_eq(y, 1)
+assert x == to_matrix(m) and x != y and len({x, to_matrix(m), -(-x)}) == 1
+assert ComplexMatrix2.from_json(json.loads(json.dumps(x.to_json()))) == x
+assert pickle.loads(pickle.dumps(x)) == x and copy.deepcopy(x) == x
+for needs_numpy in (lambda: x.array, lambda: m.coeffs,
+                    lambda: rodrigues_matrix(AxisAngle(0.0, 0.0, 1.0, 0.5))):
+    try:
+        needs_numpy()
+    except ImportError:
+        pass
+    else:
+        raise AssertionError("numpy was not needed")
+print(json.dumps(results))
+"""
+
+
+def test_library_runs_with_numpy_blocked(capsys):
+    want = [list(run(capsys, *argv)[:2]) for argv in _NO_NUMPY_ARGVS]
+    assert [code for code, _ in want] == [0] * 7
+    proc = _run_python(_NUMPY_BLOCKED, json.dumps(_NO_NUMPY_ARGVS))
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == want
 
 
 def test_eval_printed_exponents_round_trip(capsys):

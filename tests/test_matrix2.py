@@ -1,8 +1,14 @@
 """The 2x2 complex-matrix representation: an independent dual route for
 everything the multivector algebra computes."""
 
+import math
+import struct
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from geobyte import (
     ComplexMatrix2,
@@ -16,7 +22,7 @@ from geobyte import (
 )
 from geobyte._kernels import BLADE_NAMES
 
-from conftest import random_multivector, random_unit_quaternion
+from conftest import random_multivector, random_unit_quaternion, signed_zero_coeffs
 
 E = {name: basis_element(name) for name in BLADE_NAMES}
 
@@ -130,3 +136,122 @@ def test_cayley_klein_matrix_layout(rng):
             ]
         )
         assert np.max(np.abs(u - want)) < 1e-14
+
+
+@pytest.mark.parametrize(
+    "entries",
+    [[[1, 2], [3]], [[1, [2]], [3, 4]], ["12", "34"], np.ones((2, 2, 1)), [[None, 1], [2, 3]], 5],
+    ids=["ragged", "nested", "strings", "3d", "none", "scalar"],
+)
+def test_constructor_rejects_non_2x2(entries):
+    with pytest.raises(ValueError, match="ComplexMatrix2 needs a 2x2 array"):
+        ComplexMatrix2(entries)
+
+
+def test_constructor_takes_numpy_arrays():
+    rows = [[1, 2j], [3.5, -4]]
+    assert ComplexMatrix2(np.array(rows)) == ComplexMatrix2(rows)
+    assert ComplexMatrix2(np.array(rows)).m21 == 3.5 and type(ComplexMatrix2(rows).m21) is complex
+
+
+# -- a numpy reference: tensordot over printed images, trace formulas --
+
+# blade images as printed fixtures, in blade order
+_PAULI_IMAGES = np.array(
+    [
+        [[1, 0], [0, 1]],  # e0
+        [[0, 1], [1, 0]],  # e1
+        [[0, -1j], [1j, 0]],  # e2
+        [[1, 0], [0, -1]],  # e3
+        [[1j, 0], [0, -1j]],  # e12
+        [[0, 1j], [1j, 0]],  # e23
+        [[0, -1], [1, 0]],  # e13
+        [[1j, 0], [0, 1j]],  # e123
+    ],
+    dtype=np.complex128,
+)
+
+
+def _reference_to_matrix(c) -> ComplexMatrix2:
+    return ComplexMatrix2(np.tensordot(np.asarray(c, dtype=float), _PAULI_IMAGES, axes=(0, 0)))
+
+
+def _reference_from_matrix(x: ComplexMatrix2) -> Multivector:
+    a = x.array
+    w0 = (a[0, 0] + a[1, 1]) / 2.0
+    w1 = (a[0, 1] + a[1, 0]) / 2.0
+    w2 = (a[0, 1] - a[1, 0]) * 0.5j
+    w3 = (a[0, 0] - a[1, 1]) / 2.0
+    return Multivector([w0.real, w1.real, w2.real, w3.real, w3.imag, w1.imag, -w2.imag, w0.imag])
+
+
+_FINITE = st.floats(min_value=-1e300, max_value=1e300)
+_DYADIC = st.integers(-(2**40), 2**40).map(lambda k: k / 2.0**20)
+# few enough bits that products and sums of two products are exact
+_SHORT_DYADIC = st.integers(-(2**12), 2**12).map(lambda k: k / 2.0**6)
+
+
+def _assert_matches_reference(c) -> None:
+    m = Multivector(c)
+    x = to_matrix(m)
+    assert x == _reference_to_matrix(c), c
+    assert from_matrix(x) == _reference_from_matrix(x), c
+
+
+@given(st.lists(_FINITE, min_size=8, max_size=8))
+def test_matches_numpy_reference_dense(c):
+    _assert_matches_reference(c)
+
+
+def test_matches_numpy_reference_signed_zeros(rng):
+    for c in signed_zero_coeffs(rng, 2000):
+        _assert_matches_reference(c)
+
+
+@given(st.lists(st.builds(complex, _FINITE, _FINITE), min_size=4, max_size=4))
+def test_from_matrix_matches_numpy_reference_on_any_matrix(z):
+    x = ComplexMatrix2([z[:2], z[2:]])
+    assert from_matrix(x) == _reference_from_matrix(x)
+
+
+@given(st.lists(_DYADIC, min_size=8, max_size=8))
+def test_dyadic_round_trip_is_bit_exact(c):
+    m = Multivector(c)
+    assert struct.pack("8d", *from_matrix(to_matrix(m))._c) == struct.pack("8d", *m._c)
+
+
+@given(st.lists(st.builds(complex, _SHORT_DYADIC, _SHORT_DYADIC), min_size=9, max_size=9))
+def test_arithmetic_matches_numpy(z):
+    x, y, s = ComplexMatrix2([z[:2], z[2:4]]), ComplexMatrix2([z[4:6], z[6:8]]), z[8]
+    a, b = x.array, y.array
+    assert (x + y).array.tolist() == (a + b).tolist()
+    assert (x - y).array.tolist() == (a - b).tolist()
+    assert (-x).array.tolist() == (-a).tolist()
+    assert (x * s).array.tolist() == (a * s).tolist() == (s * x).array.tolist()
+    assert adjoint(x).array.tolist() == a.conj().T.tolist()
+    assert x.det() == complex(a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0])
+    assert (x * y).array.tolist() == (a @ b).tolist()
+
+
+# -- finite input never turns into NaN --------------------------------
+
+
+def test_from_matrix_overflow_stays_in_its_coefficient():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        m = from_matrix(ComplexMatrix2([[1.7e308, 0], [0, 1.7e308]]))
+    assert not any(map(math.isnan, m._c))
+    assert m["e123"] == 0.0
+    assert m._c[1:] == (0.0,) * 7
+
+
+def test_to_matrix_and_product_overflow_give_no_nan():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        image = to_matrix(Multivector([1.7e308, 0, 0, 1.7e308, 0, 0, 0, 0]))
+        x = ComplexMatrix2([[1e200, 0], [0, 1]])
+        square = x * x
+    for z in (image.m11, square.m11):
+        assert (z.real, z.imag) == (math.inf, 0.0)
+    assert (image.m12, image.m21, image.m22) == (0, 0, 0)
+    assert (square.m12, square.m21, square.m22) == (0, 0, 1)
