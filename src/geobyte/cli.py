@@ -11,6 +11,9 @@ as ``parse_args`` would.  Every other command line (help, an empty or
 unknown command, a leading ``--``) goes through the top-level
 ``parse_args``.  Both routes print the same output and exit codes;
 the direct one skips the top-level scan of every argument.
+
+The spinor and cube layers are imported inside the subcommands that use
+them, so ``eval`` and the other commands never load them.
 """
 
 from __future__ import annotations
@@ -23,10 +26,8 @@ import sys
 
 from ._kernels import BLADE_NAMES
 from .clusters import blade_to_byte_signature, diag_projection, to_structure_coords
-from .cube import render_cube
 from .errors import DomainError, ParseError
 from .expressions import evaluate_text, format_expression
-from .hilbert import hadamard_regroup, not_gate, project, spinor_from_components
 from .multivector import Multivector, require_finite
 from .transforms import REFLECTIONS, AxisAngle, quaternion_from_axis_angle, rotate
 
@@ -110,6 +111,8 @@ def _cmd_reflect(args) -> int:
 
 
 def _cmd_project(args) -> int:
+    from .hilbert import project
+
     target = evaluate_text(args.target)
     ideal = {"pos": "positive", "neg": "negative"}[args.ideal]
     spinor = project(target, ideal, args.side)
@@ -124,6 +127,8 @@ def _cmd_project(args) -> int:
 
 
 def _cmd_gate(args) -> int:
+    from .hilbert import hadamard_regroup, not_gate, spinor_from_components
+
     alpha = _parse_complex(args.alpha, "--alpha")
     beta = _parse_complex(args.beta, "--beta")
     spinor = spinor_from_components(alpha, beta)
@@ -158,6 +163,8 @@ def _cmd_gate(args) -> int:
 
 
 def _cmd_cube(args) -> int:
+    from .cube import render_cube
+
     target = evaluate_text(args.target)
     _finite(to_structure_coords(target).values)
     sys.stdout.write(render_cube(target, args.format))

@@ -27,10 +27,10 @@ whose source text pins the summation order:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
+from ._record import Record, _set
 from .errors import DomainError, SpanError
 from .multivector import E0, Multivector, require_finite
 
@@ -56,13 +56,15 @@ LABELS: tuple[str, ...] = tuple(POLARITIES)
 LABEL_INDEX: dict[str, int] = {l: i for i, l in enumerate(LABELS)}
 
 
-@dataclass(frozen=True)
-class Paravector:
+class Paravector(Record):
     """Idempotent half-sum/half-difference of e0 and a basis vector."""
 
-    axis: int
-    polarity: Polarity
-    value: Multivector
+    __slots__ = ("axis", "polarity", "value")
+
+    def __init__(self, axis: int, polarity: Polarity, value: Multivector):
+        _set(self, "axis", axis)
+        _set(self, "polarity", polarity)
+        _set(self, "value", value)
 
 
 def paravector(axis: int, polarity: Polarity) -> Paravector:
@@ -155,12 +157,15 @@ _from_structure = compile_kernel(
 )
 
 
-@dataclass(frozen=True)
-class StructureCoords:
+class StructureCoords(Record):
     """Coordinates of a multivector over the eight structure elements,
     in label order A, B, C, D, Dbar, Cbar, Bbar, Abar."""
 
-    values: tuple[float, ...]
+    __slots__ = ("values",)
+
+    def __init__(self, values: tuple[float, ...]):
+        _set(self, "values", values)
+        self.__post_init__()
 
     def __post_init__(self):
         if len(self.values) != 8:
@@ -190,13 +195,16 @@ def from_structure_coords(c: StructureCoords) -> Multivector:
     return Multivector(_from_structure(c.values))
 
 
-@dataclass(frozen=True)
-class ByteSignature:
+class ByteSignature(Record):
     """The {+,-,+}-style three-bit state naming one basis blade."""
 
-    s1: int
-    s2: int
-    s3: int
+    __slots__ = ("s1", "s2", "s3")
+
+    def __init__(self, s1: int, s2: int, s3: int):
+        _set(self, "s1", s1)
+        _set(self, "s2", s2)
+        _set(self, "s3", s3)
+        self.__post_init__()
 
     def __post_init__(self):
         for s in (self.s1, self.s2, self.s3):

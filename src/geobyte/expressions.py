@@ -37,6 +37,7 @@ import re
 from typing import Iterator, Union
 
 from ._kernels import BLADE_NAMES
+from ._record import Record, _set
 from .clusters import LABELS, paravector, structure_element
 from .errors import DomainError, ParseError
 from .multivector import Multivector
@@ -44,70 +45,32 @@ from .multivector import Multivector
 # -- AST ---------------------------------------------------------------
 
 
-class _AstNode:
-    """Base of the immutable AST nodes: equal to a node of the same class
-    with equal fields, hashable, and shown like a dataclass.
-
-    Plain ``__slots__`` classes, because making six frozen dataclasses took
-    about half of this module's import time; not ``NamedTuple``, whose
-    nodes of different classes compare equal.
-    """
-
-    __slots__ = ()
-
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._fields() == other._fields()
-
-    def __hash__(self):
-        return hash(self._fields())
-
-    def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
-        return f"{type(self).__name__}({fields})"
-
-    def __reduce__(self):
-        return (type(self), self._fields())
-
-    def __setattr__(self, name, value):
-        raise AttributeError(f"{type(self).__name__} is immutable")
-
-    __delattr__ = __setattr__
-
-
-_set = object.__setattr__
-
-
-class Literal(_AstNode):
+class Literal(Record):
     __slots__ = ("value",)
 
     def __init__(self, value: float):
         _set(self, "value", value)
 
 
-class Imaginary(_AstNode):
+class Imaginary(Record):
     __slots__ = ()
 
 
-class Const(_AstNode):
+class Const(Record):
     __slots__ = ("name",)
 
     def __init__(self, name: str):
         _set(self, "name", name)
 
 
-class Neg(_AstNode):
+class Neg(Record):
     __slots__ = ("child",)
 
     def __init__(self, child: "Expr"):
         _set(self, "child", child)
 
 
-class Func(_AstNode):
+class Func(Record):
     __slots__ = ("name", "child")
 
     def __init__(self, name: str, child: "Expr"):
@@ -115,7 +78,7 @@ class Func(_AstNode):
         _set(self, "child", child)
 
 
-class BinOp(_AstNode):
+class BinOp(Record):
     __slots__ = ("op", "left", "right")
 
     def __init__(self, op: str, left: "Expr", right: "Expr"):  # op: "+", "-", "*"

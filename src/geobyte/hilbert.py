@@ -25,10 +25,10 @@ is built by :func:`_spinor`, which trusts that it does:
 from __future__ import annotations
 
 import cmath
-from dataclasses import dataclass
 from typing import Literal
 
 from ._kernels import BLADE_NAMES
+from ._record import Record, _set
 from .clusters import N1, N3, P1, P3
 from .errors import DomainError
 from .multivector import ComplexScalar, Multivector, require_finite
@@ -54,17 +54,20 @@ def _projector(ideal: Ideal) -> Multivector:
     raise DomainError(f"unknown ideal {ideal!r}")
 
 
-@dataclass(frozen=True)
-class Spinor:
+class Spinor(Record):
     """Element of a one-sided ideal, tagged with ideal and variance.
 
     Contravariant spinors absorb the projector on the right
     (value * P3 = value); covariant ones absorb on the left.
     """
 
-    value: Multivector
-    ideal: Ideal
-    variance: Variance
+    __slots__ = ("value", "ideal", "variance")
+
+    def __init__(self, value: Multivector, ideal: Ideal, variance: Variance):
+        _set(self, "value", value)
+        _set(self, "ideal", ideal)
+        _set(self, "variance", variance)
+        self.__post_init__()
 
     def __post_init__(self):
         p = _projector(self.ideal)
@@ -79,10 +82,6 @@ class Spinor:
                 f"value does not lie in the {self.ideal} {self.variance} ideal"
             )
 
-    def __reduce__(self):
-        # pickle and copy rebuild through the checked constructor
-        return (Spinor, (self.value, self.ideal, self.variance))
-
     def to_json(self) -> dict:
         return {
             "ideal": self.ideal,
@@ -96,7 +95,6 @@ class Spinor:
 
 
 _new = object.__new__
-_set = object.__setattr__
 
 
 def _spinor(value: Multivector, ideal: Ideal, variance: Variance) -> Spinor:
@@ -108,20 +106,24 @@ def _spinor(value: Multivector, ideal: Ideal, variance: Variance) -> Spinor:
     return s
 
 
-@dataclass(frozen=True)
-class GeometricQubit:
+class GeometricQubit(Record):
     """Complementary pair Q*P3 (positive) and Q*N3 (negative); their sum
     reconstructs the generating quaternion."""
 
-    positive: Spinor
-    negative: Spinor
+    __slots__ = ("positive", "negative")
+
+    def __init__(self, positive: Spinor, negative: Spinor):
+        _set(self, "positive", positive)
+        _set(self, "negative", negative)
 
 
-@dataclass(frozen=True)
-class ParavectorState:
+class ParavectorState(Record):
     """Idempotent (e0 +- a)/2 for a unit vector a; scalar part 1/2."""
 
-    value: Multivector
+    __slots__ = ("value",)
+
+    def __init__(self, value: Multivector):
+        _set(self, "value", value)
 
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
@@ -212,16 +214,24 @@ def spinor_from_components(alpha: complex, beta: complex) -> Spinor:
     return _spinor(value, "positive", "contravariant")
 
 
-@dataclass(frozen=True)
-class HadamardTerms:
+class HadamardTerms(Record):
     """Regrouped form (alpha+beta)*(P1*P3) + (alpha-beta)*(N1*P3),
     with the structure-element identities P1*P3 = A + C and
     N1*P3 = B + Dbar."""
 
-    coeff_plus: complex
-    coeff_minus: complex
-    plus_basis: Multivector  # P1*P3 = A + C
-    minus_basis: Multivector  # N1*P3 = B + Dbar
+    __slots__ = ("coeff_plus", "coeff_minus", "plus_basis", "minus_basis")
+
+    def __init__(
+        self,
+        coeff_plus: complex,
+        coeff_minus: complex,
+        plus_basis: Multivector,  # P1*P3 = A + C
+        minus_basis: Multivector,  # N1*P3 = B + Dbar
+    ):
+        _set(self, "coeff_plus", coeff_plus)
+        _set(self, "coeff_minus", coeff_minus)
+        _set(self, "plus_basis", plus_basis)
+        _set(self, "minus_basis", minus_basis)
 
     def resum(self) -> Multivector:
         return (

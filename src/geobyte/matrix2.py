@@ -13,6 +13,7 @@ when :attr:`ComplexMatrix2.array` is read.
 
 from __future__ import annotations
 
+import math
 import operator
 
 from ._kernels import BLADE_NAMES
@@ -61,9 +62,13 @@ class ComplexMatrix2:
     m22 = property(lambda self: self._z[3])
 
     def __add__(self, other: "ComplexMatrix2") -> "ComplexMatrix2":
+        if not isinstance(other, ComplexMatrix2):
+            return NotImplemented
         return _matrix(tuple(map(operator.add, self._z, other._z)))
 
     def __sub__(self, other: "ComplexMatrix2") -> "ComplexMatrix2":
+        if not isinstance(other, ComplexMatrix2):
+            return NotImplemented
         return _matrix(tuple(map(operator.sub, self._z, other._z)))
 
     def __neg__(self) -> "ComplexMatrix2":
@@ -156,22 +161,39 @@ def to_matrix(m: Multivector) -> ComplexMatrix2:
     return _matrix(tuple([sum(map(operator.mul, images, m._c)) for images in _IMAGE_ENTRIES]))
 
 
+def _halved_traces(r11, i11, r12, i12, r21, i21, r22, i22) -> tuple[float, ...]:
+    """The eight blade coefficients of a matrix, from the real and
+    imaginary parts of its entries, each a sum of two parts halved.
+
+    w_k = tr(s_k a)/2 over {I, s1, s2, s3}: Re w_k is a grade-0/1
+    coefficient, Im w_k that of the blade whose matrix is +-i*s_k.
+    Real arithmetic keeps an overflow in the coefficient that overflowed.
+    """
+    return (
+        (r11 + r22) / 2,  # e0 = Re w0
+        (r12 + r21) / 2,  # e1 = Re w1
+        (i21 - i12) / 2,  # e2 = Re w2
+        (r11 - r22) / 2,  # e3 = Re w3
+        (i11 - i22) / 2,  # e12 -> i*s3
+        (i12 + i21) / 2,  # e23 -> i*s1
+        (r21 - r12) / 2,  # e13 -> -i*s2
+        (i11 + i22) / 2,  # e123 -> i*I
+    )
+
+
 def from_matrix(x: ComplexMatrix2) -> Multivector:
     """Exact inverse of :func:`to_matrix` via Pauli trace formulas."""
     a11, a12, a21, a22 = x._z
-    # w_k = tr(s_k a)/2 over {I, s1, s2, s3}: Re w_k is a grade-0/1
-    # coefficient, Im w_k that of the blade whose matrix is +-i*s_k.
-    # Real arithmetic keeps an overflow in the coefficient that overflowed.
-    return _wrap((
-        (a11.real + a22.real) / 2,  # e0 = Re w0
-        (a12.real + a21.real) / 2,  # e1 = Re w1
-        (a21.imag - a12.imag) / 2,  # e2 = Re w2
-        (a11.real - a22.real) / 2,  # e3 = Re w3
-        (a11.imag - a22.imag) / 2,  # e12 -> i*s3
-        (a12.imag + a21.imag) / 2,  # e23 -> i*s1
-        (a21.real - a12.real) / 2,  # e13 -> -i*s2
-        (a11.imag + a22.imag) / 2,  # e123 -> i*I
-    ))
+    c = _halved_traces(a11.real, a11.imag, a12.real, a12.imag,
+                       a21.real, a21.imag, a22.real, a22.imag)
+    if not math.isfinite(sum(c)):
+        # The sum of two finite parts a, b may overflow before its halving.
+        # Such a coefficient is a/2 + b/2 instead: h = (a/2 + b/2)/2 is
+        # finite exactly when a and b are, and so large that 2*h is exact.
+        h = _halved_traces(*[p / 2 for z in x._z for p in (z.real, z.imag)])
+        c = tuple([ck if math.isfinite(ck) or not math.isfinite(hk) else 2 * hk
+                   for ck, hk in zip(c, h)])
+    return _wrap(c)
 
 
 def adjoint(x: ComplexMatrix2) -> ComplexMatrix2:

@@ -16,10 +16,10 @@ from __future__ import annotations
 
 import math
 import operator
-from dataclasses import dataclass
 from typing import Iterable, Union
 
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
+from ._record import Record, _set
 from .errors import DomainError, UnknownBladeError
 
 Scalar = Union[int, float]
@@ -264,16 +264,18 @@ def approx_eq(m: Multivector, n: Multivector, tol: float) -> bool:
     return m.approx_eq(n, tol)
 
 
-@dataclass(frozen=True)
-class ComplexScalar:
+class ComplexScalar(Record):
     """Complex number embedded as re*e0 + im*e123.
 
     The pseudoscalar is central and squares to -e0, so the embedding
     commutes with every multivector.
     """
 
-    re: float
-    im: float = 0.0
+    __slots__ = ("re", "im")
+
+    def __init__(self, re: float, im: float = 0.0):
+        _set(self, "re", re)
+        _set(self, "im", im)
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexScalar":

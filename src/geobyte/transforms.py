@@ -25,9 +25,9 @@ within tolerance can drift past it.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from typing import Callable
 
+from ._record import Record, _set
 from .clusters import LABELS, structure_element, to_structure_coords
 from .errors import DomainError
 from .multivector import E0, E123, Multivector, _wrap, require_finite
@@ -36,14 +36,16 @@ _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
 
 
-@dataclass(frozen=True)
-class AxisAngle:
+class AxisAngle(Record):
     """Unit rotation axis plus angle in radians (anticlockwise positive)."""
 
-    c1: float
-    c2: float
-    c3: float
-    theta: float
+    __slots__ = ("c1", "c2", "c3", "theta")
+
+    def __init__(self, c1: float, c2: float, c3: float, theta: float):
+        _set(self, "c1", c1)
+        _set(self, "c2", c2)
+        _set(self, "c3", c3)
+        _set(self, "theta", theta)
 
     def to_json(self) -> dict:
         """:class:`DomainError` if any field is NaN or infinite."""
@@ -57,23 +59,27 @@ class AxisAngle:
         return cls(*require_finite((*obj["axis"], obj["theta"]), "axis-angle"))
 
 
-@dataclass(frozen=True)
-class CayleyKlein:
+class CayleyKlein(Record):
     """Complex pair (alpha, beta) with alpha*conj(alpha) + beta*conj(beta) = 1."""
 
-    alpha: complex
-    beta: complex
+    __slots__ = ("alpha", "beta")
+
+    def __init__(self, alpha: complex, beta: complex):
+        _set(self, "alpha", alpha)
+        _set(self, "beta", beta)
 
 
-@dataclass(frozen=True)
-class EulerRodrigues:
+class EulerRodrigues(Record):
     """Real quadruple (rho, nu, mu, lam) with unit square sum; defined by
     alpha = rho - i*nu, beta = -i*(mu + i*lam) from the Cayley-Klein pair."""
 
-    rho: float
-    nu: float
-    mu: float
-    lam: float
+    __slots__ = ("rho", "nu", "mu", "lam")
+
+    def __init__(self, rho: float, nu: float, mu: float, lam: float):
+        _set(self, "rho", rho)
+        _set(self, "nu", nu)
+        _set(self, "mu", mu)
+        _set(self, "lam", lam)
 
 
 class Quaternion:

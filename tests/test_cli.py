@@ -265,6 +265,10 @@ def test_cli_runs_without_numpy():
     script = (
         "import sys, geobyte, geobyte.cli\n"
         "assert geobyte.cli.main(['eval', 'e1*e2']) == 0\n"
+        "unused = ['numpy', 'dataclasses', 'geobyte.hilbert', 'geobyte.cube',\n"
+        "          'geobyte.matrix2', 'geobyte.report']\n"
+        "loaded = [m for m in unused if m in sys.modules]\n"
+        "assert not loaded, f'{loaded} were imported'\n"
         "x = geobyte.to_matrix(geobyte.basis_element('e12'))\n"
         "assert geobyte.from_matrix(x * x) == -geobyte.basis_element('e0')\n"
         "assert 'numpy' not in sys.modules, 'numpy was imported'\n"

@@ -12,6 +12,7 @@ from geobyte import (
     Multivector,
     Quaternion,
     Spinor,
+    StructureCoords,
     basis_element,
     decompose_report,
     parse,
@@ -76,7 +77,9 @@ def test_dataclasses_holding_values_copy():
     s = project(M, "positive", "right")
     assert copy.deepcopy(s) == s
     d = dataclasses.asdict(decompose_report(M))
-    assert d["value"] == M and d["structure"]["values"] == decompose_report(M).structure.values
+    assert d["value"] == M and type(d["structure"]) is StructureCoords and (
+        d["structure"] == decompose_report(M).structure
+    )
 
 
 @pytest.mark.parametrize("how", sorted(COPIES))

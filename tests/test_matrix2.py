@@ -255,3 +255,31 @@ def test_to_matrix_and_product_overflow_give_no_nan():
         assert (z.real, z.imag) == (math.inf, 0.0)
     assert (image.m12, image.m21, image.m22) == (0, 0, 0)
     assert (square.m12, square.m21, square.m22) == (0, 0, 1)
+
+
+@pytest.mark.parametrize("sign", (1.0, -1.0))
+@pytest.mark.parametrize("blade", BLADE_NAMES)
+def test_from_matrix_halves_a_finite_sum_that_overflows(blade, sign):
+    """Each matrix part of 1.7e308 * blade is +-1.7e308, and every
+    coefficient sums two parts, so the sum overflows before the halving."""
+    m = sign * 1.7e308 * E[blade]
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        back = from_matrix(to_matrix(m))
+    assert back == m and back[blade] == sign * 1.7e308
+
+
+def test_from_matrix_keeps_a_sum_with_a_part_that_is_not_finite():
+    x = ComplexMatrix2([[complex(math.inf, 1.7e308), 0], [0, complex(1.7e308, math.nan)]])
+    assert str(from_matrix(x)._c) == "(inf, 0.0, 0.0, inf, nan, 0.0, 0.0, nan)"
+
+
+def test_matrix_addition_with_a_non_matrix_is_a_type_error():
+    x = ComplexMatrix2([[1, 2], [3, 4]])
+    for operand in (1, 2.5, 1j, E["e1"], "x"):
+        with pytest.raises(TypeError):
+            x + operand
+        with pytest.raises(TypeError):
+            x - operand
+        with pytest.raises(TypeError):
+            operand - x
