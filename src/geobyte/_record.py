@@ -1,18 +1,22 @@
-"""Base of geobyte's immutable value records.
+"""Base of geobyte's immutable values.
 
-A record is a ``__slots__`` class whose slots are its fields, in order.
-It is equal only to a record of the same class with equal fields,
-hashable, shown like a dataclass (``Name(field=value, ...)``), and
-pickled and copied back through its own constructor, so unpickling runs
-the same checks as construction.  Setting or deleting an attribute
-raises :class:`AttributeError`.
+A record is a ``__slots__`` class whose fields are its slots, its bases'
+first (a string ``__slots__`` is one field).  It is equal only to a
+record of the same class with equal fields, hashable, shown like a
+dataclass (``Name(field=value, ...)``), and pickled and copied back
+through its own constructor, so unpickling runs the same checks as
+construction.  Setting or deleting an attribute raises
+:class:`AttributeError`.
 
-Each record spells out its ``__init__`` and stores its fields with
-:data:`_set`; a record with an invariant checks it in ``__post_init__``,
-which its ``__init__`` calls last.  Plain classes, because
-``dataclasses`` and building frozen dataclasses were most of the
-package's import time; not ``NamedTuple``, whose records of different
-classes compare equal.
+Creating a subclass compiles two straight-line functions over its fields:
+``cls._trusted(field, ...)``, which stores them unchecked, for values whose
+invariant the caller has established; and, when the class declares fields
+and writes no ``__init__``, an ``__init__`` that stores them and then calls
+``self.__post_init__()``, the record's check, if it has one.  A class that
+converts its arguments writes its own ``__init__`` and stores with
+:data:`_set`.  Plain classes, because ``dataclasses`` and building frozen
+dataclasses were most of the package's import time; not ``NamedTuple``,
+whose records of different classes compare equal.
 """
 
 _set = object.__setattr__
@@ -20,9 +24,30 @@ _set = object.__setattr__
 
 class Record:
     __slots__ = ()
+    _FIELDS: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        own = vars(cls).get("__slots__", ())
+        cls._FIELDS = fields = cls._FIELDS + ((own,) if isinstance(own, str) else tuple(own))
+        params = ", ".join(fields)
+        stores = "".join(f"    _set{i}(self, {f})\n" for i, f in enumerate(fields))
+        src = f"def _trusted({params}):\n    self = _new(_cls)\n{stores}    return self\n"
+        if own and "__init__" not in vars(cls):
+            check = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
+            src += f"def __init__(self, {params}):\n{stores}{check}"
+        namespace = {"__name__": cls.__module__, "_new": object.__new__, "_cls": cls}
+        namespace.update((f"_set{i}", getattr(cls, f).__set__) for i, f in enumerate(fields))
+        exec(compile(src, f"<record {cls.__qualname__}>", "exec"), namespace)
+        for name in ("_trusted", "__init__"):
+            if name in namespace:
+                namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
+        cls._trusted = staticmethod(namespace["_trusted"])
+        if "__init__" in namespace:
+            cls.__init__ = namespace["__init__"]
 
     def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self._FIELDS)
 
     def __eq__(self, other):
         if type(other) is not type(self):
@@ -33,7 +58,7 @@ class Record:
         return hash(self._fields())
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self.__slots__)
+        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
         return f"{type(self).__name__}({fields})"
 
     def __reduce__(self):

@@ -27,12 +27,12 @@ whose source text pins the summation order:
 from __future__ import annotations
 
 import math
-from typing import Literal, Sequence
+from typing import Iterable, Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
 from .errors import DomainError, SpanError
-from .multivector import E0, Multivector, require_finite
+from .multivector import E0, Multivector, _wrap, require_finite
 
 Polarity = Literal["positive", "negative"]
 
@@ -57,14 +57,10 @@ LABEL_INDEX: dict[str, int] = {l: i for i, l in enumerate(LABELS)}
 
 
 class Paravector(Record):
-    """Idempotent half-sum/half-difference of e0 and a basis vector."""
+    """Idempotent half-sum/half-difference ``value`` (Multivector) of e0
+    and the basis vector ``axis`` (int); ``polarity`` is a Polarity."""
 
     __slots__ = ("axis", "polarity", "value")
-
-    def __init__(self, axis: int, polarity: Polarity, value: Multivector):
-        _set(self, "axis", axis)
-        _set(self, "polarity", polarity)
-        _set(self, "value", value)
 
 
 def paravector(axis: int, polarity: Polarity) -> Paravector:
@@ -163,13 +159,12 @@ class StructureCoords(Record):
 
     __slots__ = ("values",)
 
-    def __init__(self, values: tuple[float, ...]):
-        _set(self, "values", values)
-        self.__post_init__()
-
-    def __post_init__(self):
-        if len(self.values) != 8:
+    def __init__(self, values: Iterable[float]):
+        # a string is iterable, but its characters are not coordinates
+        v = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
+        if len(v) != 8:
             raise ValueError("StructureCoords needs 8 values")
+        _set(self, "values", v)
 
     def __getitem__(self, label: str) -> float:
         return self.values[LABEL_INDEX[label]]
@@ -187,24 +182,18 @@ class StructureCoords(Record):
 
 def to_structure_coords(m: Multivector) -> StructureCoords:
     """Unique coordinates of ``m`` over the structure elements (exact)."""
-    return StructureCoords(_to_structure(m._c))
+    return StructureCoords._trusted(_to_structure(m._c))
 
 
 def from_structure_coords(c: StructureCoords) -> Multivector:
     """Exact inverse of :func:`to_structure_coords`."""
-    return Multivector(_from_structure(c.values))
+    return _wrap(_from_structure(c.values))
 
 
 class ByteSignature(Record):
-    """The {+,-,+}-style three-bit state naming one basis blade."""
+    """The {+,-,+}-style three-bit state naming one basis blade; ints."""
 
     __slots__ = ("s1", "s2", "s3")
-
-    def __init__(self, s1: int, s2: int, s3: int):
-        _set(self, "s1", s1)
-        _set(self, "s2", s2)
-        _set(self, "s3", s3)
-        self.__post_init__()
 
     def __post_init__(self):
         for s in (self.s1, self.s2, self.s3):

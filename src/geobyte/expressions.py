@@ -37,7 +37,7 @@ import re
 from typing import Iterator, Union
 
 from ._kernels import BLADE_NAMES
-from ._record import Record, _set
+from ._record import Record
 from .clusters import LABELS, paravector, structure_element
 from .errors import DomainError, ParseError
 from .multivector import Multivector
@@ -46,10 +46,9 @@ from .multivector import Multivector
 
 
 class Literal(Record):
-    __slots__ = ("value",)
+    """A number; ``value`` is a float."""
 
-    def __init__(self, value: float):
-        _set(self, "value", value)
+    __slots__ = ("value",)
 
 
 class Imaginary(Record):
@@ -57,34 +56,27 @@ class Imaginary(Record):
 
 
 class Const(Record):
-    __slots__ = ("name",)
+    """A named constant; ``name`` is a str."""
 
-    def __init__(self, name: str):
-        _set(self, "name", name)
+    __slots__ = ("name",)
 
 
 class Neg(Record):
-    __slots__ = ("child",)
+    """Negation of the Expr ``child``."""
 
-    def __init__(self, child: "Expr"):
-        _set(self, "child", child)
+    __slots__ = ("child",)
 
 
 class Func(Record):
-    __slots__ = ("name", "child")
+    """Function ``name`` (str) applied to the Expr ``child``."""
 
-    def __init__(self, name: str, child: "Expr"):
-        _set(self, "name", name)
-        _set(self, "child", child)
+    __slots__ = ("name", "child")
 
 
 class BinOp(Record):
-    __slots__ = ("op", "left", "right")
+    """``op`` ("+", "-" or "*") applied to the Exprs ``left`` and ``right``."""
 
-    def __init__(self, op: str, left: "Expr", right: "Expr"):  # op: "+", "-", "*"
-        _set(self, "op", op)
-        _set(self, "left", left)
-        _set(self, "right", right)
+    __slots__ = ("op", "left", "right")
 
 
 Expr = Union[Literal, Imaginary, Const, Neg, Func, BinOp]

@@ -7,7 +7,8 @@ rejected instead of silently producing junk.
 
 The public :class:`Spinor` constructor checks that its value lies in the
 ideal (one more product and an ``approx_eq``).  Every spinor computed here
-is built by :func:`_spinor`, which trusts that it does:
+is built by :func:`_spinor` (``Spinor._trusted``), which trusts that it
+does:
 
 - :func:`project`, :func:`spinor_pair`, :func:`spinor_from_components`
   and :func:`hadamard_basis_vectors` multiply by the projector itself.
@@ -28,11 +29,11 @@ import cmath
 from typing import Literal
 
 from ._kernels import BLADE_NAMES
-from ._record import Record, _set
+from ._record import Record
 from .clusters import N1, N3, P1, P3
 from .errors import DomainError
 from .multivector import ComplexScalar, Multivector, require_finite
-from .transforms import Quaternion, rotate
+from .transforms import Quaternion
 
 Ideal = Literal["positive", "negative"]
 Variance = Literal["contravariant", "covariant"]
@@ -41,9 +42,8 @@ _ABSORB_TOL = 1e-12
 
 _E1 = Multivector.basis("e1")
 _E3 = Multivector.basis("e3")
-#: the two basis spinors of the positive contravariant ideal
+#: the basis spinor of the positive contravariant ideal beside P3
 E1P3 = _E1 * P3
-E1N3 = _E1 * N3
 
 
 def _projector(ideal: Ideal) -> Multivector:
@@ -55,19 +55,14 @@ def _projector(ideal: Ideal) -> Multivector:
 
 
 class Spinor(Record):
-    """Element of a one-sided ideal, tagged with ideal and variance.
+    """Element ``value`` (Multivector) of a one-sided ideal, tagged with
+    its ``ideal`` (Ideal) and ``variance`` (Variance).
 
     Contravariant spinors absorb the projector on the right
     (value * P3 = value); covariant ones absorb on the left.
     """
 
     __slots__ = ("value", "ideal", "variance")
-
-    def __init__(self, value: Multivector, ideal: Ideal, variance: Variance):
-        _set(self, "value", value)
-        _set(self, "ideal", ideal)
-        _set(self, "variance", variance)
-        self.__post_init__()
 
     def __post_init__(self):
         p = _projector(self.ideal)
@@ -94,36 +89,21 @@ class Spinor(Record):
         return cls(Multivector.from_json(obj["value"]), obj["ideal"], obj["variance"])
 
 
-_new = object.__new__
-
-
-def _spinor(value: Multivector, ideal: Ideal, variance: Variance) -> Spinor:
-    """Trusted constructor: ``value`` lies in the ideal by construction."""
-    s = _new(Spinor)
-    _set(s, "value", value)
-    _set(s, "ideal", ideal)
-    _set(s, "variance", variance)
-    return s
+#: trusted constructor: its value lies in the ideal by construction
+_spinor = Spinor._trusted
 
 
 class GeometricQubit(Record):
-    """Complementary pair Q*P3 (positive) and Q*N3 (negative); their sum
-    reconstructs the generating quaternion."""
+    """Complementary Spinor pair Q*P3 (positive) and Q*N3 (negative); their
+    sum reconstructs the generating quaternion."""
 
     __slots__ = ("positive", "negative")
 
-    def __init__(self, positive: Spinor, negative: Spinor):
-        _set(self, "positive", positive)
-        _set(self, "negative", negative)
-
 
 class ParavectorState(Record):
-    """Idempotent (e0 +- a)/2 for a unit vector a; scalar part 1/2."""
+    """Idempotent Multivector (e0 +- a)/2 for a unit vector a; scalar part 1/2."""
 
     __slots__ = ("value",)
-
-    def __init__(self, value: Multivector):
-        _set(self, "value", value)
 
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
@@ -217,21 +197,10 @@ def spinor_from_components(alpha: complex, beta: complex) -> Spinor:
 class HadamardTerms(Record):
     """Regrouped form (alpha+beta)*(P1*P3) + (alpha-beta)*(N1*P3),
     with the structure-element identities P1*P3 = A + C and
-    N1*P3 = B + Dbar."""
+    N1*P3 = B + Dbar.  The coefficients are complex, the bases
+    Multivectors."""
 
     __slots__ = ("coeff_plus", "coeff_minus", "plus_basis", "minus_basis")
-
-    def __init__(
-        self,
-        coeff_plus: complex,
-        coeff_minus: complex,
-        plus_basis: Multivector,  # P1*P3 = A + C
-        minus_basis: Multivector,  # N1*P3 = B + Dbar
-    ):
-        _set(self, "coeff_plus", coeff_plus)
-        _set(self, "coeff_minus", coeff_minus)
-        _set(self, "plus_basis", plus_basis)
-        _set(self, "minus_basis", minus_basis)
 
     def resum(self) -> Multivector:
         return (

@@ -7,8 +7,10 @@ not a definition.  Used as the independent oracle for the rest of the
 package, and exposed publicly for users coming from matrix habits.
 
 A matrix is four Python complex numbers with hand-written 2x2 arithmetic,
-independent of the multivector product kernel; numpy is imported only
-when :attr:`ComplexMatrix2.array` is read.
+independent of the multivector product kernel; every matrix computed
+here is built by :func:`_matrix` (``ComplexMatrix2._trusted``), which
+trusts its 4-tuple of complex.  numpy is imported only when
+:attr:`ComplexMatrix2.array` is read.
 """
 
 from __future__ import annotations
@@ -17,10 +19,11 @@ import math
 import operator
 
 from ._kernels import BLADE_NAMES
+from ._record import Record, _set
 from .multivector import Multivector, _wrap, require_finite
 
 
-class ComplexMatrix2:
+class ComplexMatrix2(Record):
     """Plain 2x2 complex matrix; no implicit normalization anywhere.
 
     Built from two rows of two numbers, as nested sequences or a numpy
@@ -37,14 +40,11 @@ class ComplexMatrix2:
             z = tuple(map(complex, (a, b, c, d)))
         except (TypeError, ValueError):
             raise ValueError("ComplexMatrix2 needs a 2x2 array") from None
-        object.__setattr__(self, "_z", z)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("ComplexMatrix2 is immutable")
+        _set(self, "_z", z)
 
     def __reduce__(self):
         # pickle and copy rebuild through the checked constructor
-        return (ComplexMatrix2, ((self._z[:2], self._z[2:]),))
+        return (type(self), ((self._z[:2], self._z[2:]),))
 
     @property
     def array(self):
@@ -124,14 +124,8 @@ class ComplexMatrix2:
 
 
 _ENTRY_KEYS = ("m11", "m12", "m21", "m22")
-_set_entries = ComplexMatrix2._z.__set__
-
-
-def _matrix(z: tuple[complex, ...]) -> ComplexMatrix2:
-    """Trusted constructor: ``z`` is already a 4-tuple of complex."""
-    x = object.__new__(ComplexMatrix2)
-    _set_entries(x, z)
-    return x
+#: trusted constructor: its argument is already a 4-tuple of complex
+_matrix = ComplexMatrix2._trusted
 
 
 def _matmul(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ...]:

@@ -6,10 +6,10 @@ is exactly representable, so identities not involving trigonometry hold
 with exact float equality.
 
 The public constructor checks and converts what it is given; every result
-computed here is built by :func:`_wrap`, which trusts its 8-tuple of
-floats.  Products and the coefficient-wise maps are straight-line kernels
-generated by :func:`geobyte._kernels.compile_kernel`.  numpy is imported
-only when :attr:`Multivector.coeffs` is read.
+computed here is built by :func:`_wrap` (``Multivector._trusted``), which
+trusts its 8-tuple of floats.  Products and the coefficient-wise maps are
+straight-line kernels generated by :func:`geobyte._kernels.compile_kernel`.
+numpy is imported only when :attr:`Multivector.coeffs` is read.
 """
 
 from __future__ import annotations
@@ -65,7 +65,7 @@ def require_finite(values: Iterable[float], what: str) -> tuple[float, ...]:
     return out
 
 
-class Multivector:
+class Multivector(Record):
     """Immutable element of G(3,0), stored as 8 coefficients over
     {e0, e1, e2, e3, e12, e23, e13, e123}."""
 
@@ -76,14 +76,7 @@ class Multivector:
         c = () if isinstance(coeffs, (str, bytes)) else tuple(map(float, coeffs))
         if len(c) != 8:
             raise ValueError("Multivector needs exactly 8 coefficients")
-        object.__setattr__(self, "_c", c)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("Multivector is immutable")
-
-    def __reduce__(self):
-        # pickle and copy rebuild through the checked constructor
-        return (Multivector, (self._c,))
+        _set(self, "_c", c)
 
     # -- constructors -------------------------------------------------
 
@@ -218,15 +211,8 @@ class Multivector:
 
 
 _ZERO = (0.0,) * 8
-_new = object.__new__
-_set_coeffs = Multivector._c.__set__
-
-
-def _wrap(c: tuple[float, ...]) -> Multivector:
-    """Trusted constructor: ``c`` is already an 8-tuple of floats."""
-    m = _new(Multivector)
-    _set_coeffs(m, c)
-    return m
+#: trusted constructor: its argument is already an 8-tuple of floats
+_wrap = Multivector._trusted
 
 
 INVOLUTION_KINDS = ("reversion", "grade_involution", "clifford_conjugation")

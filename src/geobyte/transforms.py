@@ -10,7 +10,8 @@ orientation.
 
 The public :class:`Quaternion` constructor checks that its value is even
 and, by default, unit.  :func:`quaternion_from_axis_angle` and negation
-build their result with :func:`_quaternion`, which trusts it:
+build their result with :func:`_quaternion` (``Quaternion._trusted``),
+which trusts it:
 
 - :func:`quaternion_from_axis_angle` has checked the axis (unit within
   tolerance) and the angle (finite) itself.  Its value is cos - sin *
@@ -37,15 +38,10 @@ _GRADE_TOL = 1e-12
 
 
 class AxisAngle(Record):
-    """Unit rotation axis plus angle in radians (anticlockwise positive)."""
+    """Unit rotation axis (c1, c2, c3) plus angle theta in radians
+    (anticlockwise positive); floats."""
 
     __slots__ = ("c1", "c2", "c3", "theta")
-
-    def __init__(self, c1: float, c2: float, c3: float, theta: float):
-        _set(self, "c1", c1)
-        _set(self, "c2", c2)
-        _set(self, "c3", c3)
-        _set(self, "theta", theta)
 
     def to_json(self) -> dict:
         """:class:`DomainError` if any field is NaN or infinite."""
@@ -64,10 +60,6 @@ class CayleyKlein(Record):
 
     __slots__ = ("alpha", "beta")
 
-    def __init__(self, alpha: complex, beta: complex):
-        _set(self, "alpha", alpha)
-        _set(self, "beta", beta)
-
 
 class EulerRodrigues(Record):
     """Real quadruple (rho, nu, mu, lam) with unit square sum; defined by
@@ -75,15 +67,10 @@ class EulerRodrigues(Record):
 
     __slots__ = ("rho", "nu", "mu", "lam")
 
-    def __init__(self, rho: float, nu: float, mu: float, lam: float):
-        _set(self, "rho", rho)
-        _set(self, "nu", nu)
-        _set(self, "mu", mu)
-        _set(self, "lam", lam)
 
-
-class Quaternion:
-    """Even multivector (grades 0 and 2); unit ones carry rotations."""
+class Quaternion(Record):
+    """Even multivector (grades 0 and 2); unit ones carry rotations.
+    Equal, and hashed alike, when the values are."""
 
     __slots__ = ("_value",)
 
@@ -97,14 +84,11 @@ class Quaternion:
                 raise DomainError("quaternion is not unit")
         else:
             require_finite(value._c, "quaternion coefficients")
-        object.__setattr__(self, "_value", value)
-
-    def __setattr__(self, name, v):
-        raise AttributeError("Quaternion is immutable")
+        _set(self, "_value", value)
 
     def __reduce__(self):
         # pickle and copy rebuild through the checked constructor
-        return (Quaternion, (self._value, False))
+        return (type(self), (self._value, False))
 
     @property
     def value(self) -> Multivector:
@@ -132,16 +116,9 @@ def _is_unit(value: Multivector) -> bool:
     return abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL
 
 
-_new = object.__new__
-_set_value = Quaternion._value.__set__
-
-
-def _quaternion(value: Multivector) -> Quaternion:
-    """Trusted constructor: ``value`` is even and finite by construction,
-    and unit wherever the caller's input was."""
-    q = _new(Quaternion)
-    _set_value(q, value)
-    return q
+#: trusted constructor: its value is even and finite by construction, and
+#: unit wherever the caller's input was
+_quaternion = Quaternion._trusted
 
 
 def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:

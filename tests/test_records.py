@@ -2,6 +2,7 @@
 and copying, the same for each; unpickling runs the record's checks."""
 
 import copy
+import inspect
 import pickle
 
 import pytest
@@ -10,17 +11,23 @@ from geobyte import (
     AxisAngle,
     ByteSignature,
     CayleyKlein,
+    ComplexMatrix2,
     ComplexScalar,
     EulerRodrigues,
     GeometricQubit,
     HadamardTerms,
+    Multivector,
     Paravector,
     ParavectorState,
+    Quaternion,
     Spinor,
     StructureCoords,
+    from_structure_coords,
+    quaternion_from_axis_angle,
 )
 from geobyte.clusters import N1, N3, P1, P3
 from geobyte.errors import DomainError
+from geobyte.expressions import BinOp, Const, Func, Literal, Neg
 
 _POS = Spinor(P3, "positive", "contravariant")
 _NEG = Spinor(N3, "negative", "contravariant")
@@ -134,3 +141,91 @@ def test_unpickling_runs_the_record_checks():
     assert text.count(b"I-1\n") == 1
     with pytest.raises(DomainError, match=r"\+1 or -1"):  # a zero sign
         pickle.loads(text.replace(b"I-1\n", b"I0\n"))
+
+
+# the value types with converting constructors: class, constructor
+# arguments, field names
+VALUES = [
+    (Multivector, (range(8),), ("_c",)),
+    (Quaternion, (Multivector([2, 0, 0, 0, 0.5, 0, -1, 0]), False), ("_value",)),
+    (ComplexMatrix2, ([[1, 2j], [3, -4]],), ("_z",)),
+]
+
+
+@pytest.mark.parametrize("cls, args, names", VALUES, ids=[v[0].__name__ for v in VALUES])
+def test_value_types_are_records(cls, args, names, monkeypatch):
+    value = cls(*args)
+    fields = tuple(getattr(value, n) for n in names)
+    for name in (*names, "extra"):
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            setattr(value, name, None)
+    for name in names:
+        with pytest.raises(AttributeError, match=f"{cls.__name__} is immutable"):
+            delattr(value, name)
+    assert tuple(getattr(value, n) for n in names) == fields
+    assert value == cls(*args) and hash(value) == hash(cls(*args))
+    assert cls._trusted(*fields) == value
+
+    sub_cls = type("Sub", (cls,), {"__slots__": ()})
+    monkeypatch.setitem(globals(), "Sub", sub_cls)  # so pickle can find it
+    sub = sub_cls(*args)
+    for how in COPIES.values():
+        back = how(value)
+        assert type(back) is cls and back == value
+        assert type(how(sub)) is type(sub)
+
+
+@pytest.mark.parametrize(
+    "cls, names, values, text", RECORDS, ids=[r[0].__name__ for r in RECORDS]
+)
+def test_subclass_with_its_own_slots_keeps_the_parent_fields(
+    cls, names, values, text, monkeypatch
+):
+    tagged = type("Tagged", (cls,), {"__slots__": ("tag",)})
+    monkeypatch.setitem(globals(), "Tagged", tagged)  # so pickle can find it
+    rec = tagged(*values, tag=1)
+    assert rec._fields() == (*values, 1)
+    assert rec == tagged(*values, 1) and rec != tagged(*values, 2)
+    assert hash(rec) == hash(tagged(*values, 1))
+    assert repr(rec) == "Tagged" + text[len(cls.__name__) : -1] + ", tag=1)"
+    back = pickle.loads(pickle.dumps(rec))
+    assert type(back) is tagged and back == rec
+
+
+def test_subclass_fields_take_part_in_equality():
+    tagged = type("Tagged", (AxisAngle,), {"__slots__": ("tag",)})
+    assert tagged(0, 0, 1, 0.5, tag=1) != tagged(1, 0, 0, 2.0, tag=1)
+
+
+def test_quaternions_compare_and_hash_by_value():
+    aa = AxisAngle(0.0, 0.6, 0.8, 1.25)
+    q, again = quaternion_from_axis_angle(aa), quaternion_from_axis_angle(aa)
+    assert q is not again and q == again and hash(q) == hash(again)
+    assert q == Quaternion(q.value) and len({q, again, -(-q)}) == 1
+    assert q != -q and q != q.value
+
+
+@pytest.mark.parametrize(
+    "cls, names",
+    [(r[0], r[1]) for r in RECORDS]
+    + [(Literal, ("value",)), (Const, ("name",)), (Neg, ("child",)),
+       (Func, ("name", "child")), (BinOp, ("op", "left", "right"))],
+    ids=lambda x: x.__name__ if isinstance(x, type) else "",
+)
+def test_constructor_signature_lists_the_fields(cls, names):
+    assert tuple(inspect.signature(cls).parameters) == names
+    with pytest.raises(TypeError, match=rf"^{cls.__name__}\.__init__\(\) takes"):
+        cls(*names, *names, None)
+
+
+def test_structure_coords_convert_their_input():
+    values = tuple(float(i) for i in range(8))
+    listed = StructureCoords(list(range(8)))
+    assert listed.values == values and type(listed.values) is tuple
+    assert listed == StructureCoords(values) and hash(listed) == hash(StructureCoords(values))
+    assert from_structure_coords(listed) == from_structure_coords(StructureCoords(values))
+    for bad in ("abcdefgh", b"abcdefgh", list(range(7)), list(range(9))):
+        with pytest.raises(ValueError, match="8 values"):
+            StructureCoords(bad)
+    with pytest.raises(TypeError):
+        StructureCoords(8)
