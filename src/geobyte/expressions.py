@@ -1,14 +1,17 @@
-"""Expression language for Clifford values: one recursive-descent parser
-and an evaluator.
+"""Expression language for Clifford values: one parser and an evaluator.
 
-There is one grammar and one parser.  It builds its result through six
-node builders chosen by the caller: :func:`parse` passes the AST classes
-and returns the tree, while :func:`evaluate_text` passes multivector
-operations and folds each rule's value as the rule is reduced, so no tree
-is built on that path.  Both see the same tokens, in the same order, and
-raise the same :class:`ParseError` for the same text; the values agree
+There is one grammar and one parser, a single loop over the tokens with a
+stack of the pending unary minuses, parentheses and calls; one compiled
+pattern scans each token, told apart by the group it matched.  The parser
+builds its result through node builders chosen by the caller:
+:func:`parse` passes the AST classes and returns the tree, while
+:func:`evaluate_text` passes multivector operations and folds each value
+as its rule is reduced, so no tree is built on that path.  Both see the same tokens, in the same order,
+and raise the same :class:`ParseError` for the same text; the values agree
 bit for bit with :func:`evaluate` of the tree, whose shape and operand
-order they follow.
+order they follow.  Tokens are scanned one ahead of the parse, as a
+recursive-descent parser would, so a bad character, a bad number and the
+nesting cap are reported in the order of the text.
 
 Grammar (products need an explicit '*'; "e12" is a single token):
 
@@ -25,16 +28,18 @@ Grammar (products need an explicit '*'; "e12" is a single token):
 A number written with an exponent is one token, so "2e12" is the number
 2e12; write "2*e12" for twice the blade.  A NUMBER must be finite and its
 denominator nonzero.  Parentheses, function calls and unary minus together
-nest at most MAX_DEPTH levels deep, which keeps parsing and evaluation
-well inside the interpreter's recursion limit.
+nest at most MAX_DEPTH levels deep.  The loop itself needs no such cap; it
+stays because :func:`evaluate` of a tree still recurses into every nested
+node, and so that a text over the cap keeps its error and its offset.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
-from typing import Iterator, Union
+from typing import Union
 
 from ._kernels import BLADE_NAMES
 from ._record import Record
@@ -99,142 +104,128 @@ CONST_NAMES = tuple(_CONSTANTS)
 MAX_DEPTH = 100
 
 
-# -- tokenizer ---------------------------------------------------------
+# -- tokens ------------------------------------------------------------
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-# every alternative can match, so each call yields exactly one token;
-# "end" matches again at the end of the text
+# one token per match, told apart by ``m.lastindex``: a name, one of the
+# five operators, a number (with a denominator, possibly empty), or a
+# character no token starts with; no match means the end of the text
 _TOKEN = re.compile(
-    rf"\s*(?:(?P<number>(?P<num>{_UNSIGNED})(?:/(?P<den>(?:{_UNSIGNED})?))?)"
-    r"|(?P<name>[A-Za-z][A-Za-z0-9]*)|(?P<op>[-+*()])|(?P<end>\Z)|(?P<bad>.))",
-    re.S,
+    r"\s*(?:([A-Za-z][A-Za-z0-9]*)|(\+)|(-)|(\*)|(\()|(\))"
+    rf"|({_UNSIGNED})(?:/((?:{_UNSIGNED})?))?|(\S))"
 )
+_END, _NAME, _ADD, _SUB, _MUL, _OPEN, _CLOSE, _NUMBER, _FRACTION, _BAD = range(10)
+_KIND_NAMES = ("end", "name", "op", "op", "op", "op", "op", "number", "number", "character")
+_NUMBER_EXPECTED = frozenset({"number"})
 
-Token = tuple[str, str, int, float]  # kind, text, offset, number value
 
-
-def _tokenize(text: str) -> Iterator[Token]:
-    """Yield tokens on demand; a bad token raises when it is reached."""
-    pos = 0
-    while True:
-        m = _TOKEN.match(text, pos)
-        kind, pos = m.lastgroup, m.end()
-        offset = m.start(kind)
-        if kind == "bad":
-            raise ParseError(f"unexpected character {m[kind]!r}", offset, frozenset({"token"}))
-        value = 0.0
-        if kind == "number":
-            num, den = m.group("num", "den")
-            value = float(num)
-            if den == "":
-                raise ParseError("expected denominator", m.start("den"), frozenset({"number"}))
-            if den is not None:
-                if float(den) == 0.0:
-                    raise ParseError("division by zero", offset, frozenset({"number"}))
-                value /= float(den)
-            if not math.isfinite(value):
-                raise ParseError("number is not finite", offset, frozenset({"number"}))
-        yield kind, m[kind], offset, value
+def _error(text: str, m, expected: frozenset[str], message: str = "unexpected {} {!r}") -> ParseError:
+    """The error at the token that ``m`` matched, ``message`` formatted with
+    the token's kind and text; at the end of ``text`` (``m`` None) it is
+    "unexpected end of input"."""
+    if m is None:
+        return ParseError("unexpected end of input", len(text), expected)
+    kind = m.lastindex
+    offset = m.start(_NUMBER if kind == _FRACTION else kind)
+    return ParseError(message.format(_KIND_NAMES[kind], text[offset : m.end()]), offset, expected)
 
 
 # -- parser ------------------------------------------------------------
 
-_ATOM_EXPECTED = frozenset({"number", "constant", "i", "function", "("})
-
-
-def _unexpected(tok: Token, expected: frozenset[str]) -> ParseError:
-    kind, text, offset, _ = tok
-    if kind == "end":
-        return ParseError("unexpected end of input", offset, expected)
-    return ParseError(f"unexpected {kind} {text!r}", offset, expected)
-
-
-class _Parser:
-    """The grammar above; ``build`` holds the six node builders, in the
-    order number, i, constant, negation, function and binary operator.
-    A builder must not raise, so every error is the grammar's own."""
-
-    def __init__(self, text: str, build: tuple):
-        self.number, self.imaginary, self.const, self.neg, self.func, self.binop = build
-        self.tokens = _tokenize(text)
-        self.tok = next(self.tokens)
-        self.depth = 0
-
-    def advance(self) -> Token:
-        tok, self.tok = self.tok, next(self.tokens)
-        return tok
-
-    def expect(self, text: str) -> None:
-        if self.tok[1] != text:
-            raise _unexpected(self.tok, frozenset({text}))
-        self.advance()
-
-    def enter(self, tok: Token) -> None:
-        """One nesting level deeper, opened by ``tok``."""
-        self.depth += 1
-        if self.depth > MAX_DEPTH:
-            raise ParseError(
-                f"nesting deeper than {MAX_DEPTH} levels", tok[2], frozenset({"number", "constant", "i"})
-            )
-
-    def expr(self) -> _Node:
-        node = self.term()
-        while self.tok[1] in ("+", "-"):
-            node = self.binop(self.advance()[1], node, self.term())
-        return node
-
-    def term(self) -> _Node:
-        node = self.factor()
-        while self.tok[1] == "*":
-            self.advance()
-            node = self.binop("*", node, self.factor())
-        return node
-
-    def factor(self) -> _Node:
-        if self.tok[1] != "-":
-            return self.atom()
-        self.enter(self.advance())
-        node = self.neg(self.factor())
-        self.depth -= 1
-        return node
-
-    def group(self, opener: Token) -> _Node:
-        """``expr ")"`` one nesting level below ``opener``."""
-        self.enter(opener)
-        node = self.expr()
-        self.expect(")")
-        self.depth -= 1
-        return node
-
-    def atom(self) -> _Node:
-        tok = self.advance()
-        kind, text, offset, value = tok
-        if kind == "number":
-            return self.number(value)
-        if text == "(":
-            return self.group(tok)
-        if kind == "name":
-            if text == "i":
-                return self.imaginary()
-            if text in FUNC_NAMES:
-                self.expect("(")
-                return self.func(text, self.group(tok))
-            if text in _CONSTANTS:
-                return self.const(text)
-            raise ParseError(f"unknown name {text!r}", offset, frozenset({"constant", "function"}))
-        raise _unexpected(tok, _ATOM_EXPECTED)
-
 
 def _parse(text: str, build: tuple) -> _Node:
-    parser = _Parser(text, build)
-    node = parser.expr()
-    kind, rest, offset, _ = parser.tok
-    if kind != "end":
-        raise ParseError(f"trailing input {rest!r}", offset, frozenset({"+", "-", "*", "end"}))
-    return node
+    """The grammar above as one loop over the tokens.  ``build`` holds the
+    named atoms (constants and i) as a dict, then the builders of a number
+    and a negation, the functions as a dict by name, and the binary "+",
+    "-" and "*"; a builder must not raise.  Each pass consumes one token
+    and scans the next.  A unary minus, "(" and a function call each push
+    the pending sum and product on ``frames``, so the nesting depth is its
+    length.  A completed operand pops its unary minuses and takes the "*"
+    before it at once; a pending "+" or "-" waits for the term after it,
+    and ")" pops its group."""
+    atoms, number, neg, funcs, add, sub, mul = build
+    tokens = _TOKEN.finditer(text)  # (\S) makes each match start where the last ended
+    frames = []  # (closer, sum, its operator, product); a unary minus's closer is neg
+    acc = acc_op = prod = closer = val = m = value = None
+    kind, operand = _ADD, False  # as if after a "+" before the text
+    while True:
+        cur, cur_m, cur_value = kind, m, value
+        m = next(tokens, None)
+        kind = _END if m is None else m.lastindex
+        if kind >= _NUMBER:
+            if kind == _BAD:
+                raise _error(text, m, frozenset({"token"}), "unexpected character {1!r}")
+            value = float(m[_NUMBER])
+            if kind == _FRACTION:
+                if not m[_FRACTION]:
+                    raise ParseError("expected denominator", m.start(_FRACTION), _NUMBER_EXPECTED)
+                if float(m[_FRACTION]) == 0.0:
+                    raise ParseError("division by zero", m.start(_NUMBER), _NUMBER_EXPECTED)
+                value /= float(m[_FRACTION])
+            if not math.isfinite(value):
+                raise ParseError("number is not finite", m.start(_NUMBER), _NUMBER_EXPECTED)
+        # consume ``cur``; ``kind`` is the token after it
+        if operand:
+            if cur == _NAME:
+                name = cur_m[_NAME]
+                val = atoms.get(name)
+                if val is None:
+                    if name not in funcs:
+                        raise _error(text, cur_m, frozenset({"constant", "function"}), "unknown name {1!r}")
+                    if kind != _OPEN:
+                        raise _error(text, m, frozenset({"("}))
+                    closer, opener = funcs[name], cur_m
+                    continue
+            elif cur >= _NUMBER:
+                val = number(cur_value)
+            elif cur == _OPEN or cur == _SUB:
+                frames.append((neg if cur == _SUB else closer, acc, acc_op, prod))
+                if len(frames) > MAX_DEPTH:
+                    at = cur_m if closer is None else opener
+                    message = f"nesting deeper than {MAX_DEPTH} levels"
+                    raise _error(text, at, frozenset({"number", "constant", "i"}), message)
+                acc = prod = closer = None
+                continue
+            else:
+                raise _error(text, cur_m, frozenset({"number", "constant", "i", "function", "("}))
+        elif cur == _CLOSE:
+            fn, acc, acc_op, prod = frames.pop()
+            if fn is not None:
+                val = fn(val)
+        else:  # "+", "-" or "*", settled before it was consumed
+            operand = True
+            continue
+        # ``val`` completes an operand
+        while frames and frames[-1][0] is neg:
+            _, acc, acc_op, prod = frames.pop()
+            val = neg(val)
+        if prod is not None:
+            val = mul(prod, val)
+            prod = None
+        operand = False
+        # settle the operator ``kind`` before it is consumed
+        if kind == _MUL:
+            prod = val
+            continue
+        if acc is not None:
+            val = acc_op(acc, val)
+            acc = None
+        if kind == _ADD or kind == _SUB:
+            acc, acc_op = val, (add if kind == _ADD else sub)
+        elif frames:
+            if kind != _CLOSE:
+                raise _error(text, m, frozenset({")"}))
+        elif kind == _END:
+            return val
+        else:
+            raise _error(text, m, frozenset({"+", "-", "*", "end"}), "trailing input {1!r}")
 
 
-_AST_BUILD = (Literal, Imaginary, Const, Neg, Func, BinOp)
+_AST_BUILD = (
+    dict(zip(CONST_NAMES, map(Const, CONST_NAMES)), i=Imaginary()), Literal, Neg,
+    {name: functools.partial(Func, name) for name in FUNC_NAMES},
+    functools.partial(BinOp, "+"), functools.partial(BinOp, "-"), functools.partial(BinOp, "*"),
+)
 
 
 def parse(text: str) -> Expr:
@@ -254,12 +245,7 @@ _I = Multivector.basis("e123")
 
 # the operations :func:`evaluate` applies to each node, as parser builders
 _VALUE_BUILD = (
-    Multivector.scalar,
-    lambda: _I,
-    _CONSTANTS.__getitem__,
-    operator.neg,
-    lambda name, child: _FUNC_IMPL[name](child),
-    lambda op, left, right: _BINOP_IMPL[op](left, right),
+    {"i": _I, **_CONSTANTS}, Multivector.scalar, operator.neg, _FUNC_IMPL, *_BINOP_IMPL.values()
 )
 
 

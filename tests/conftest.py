@@ -1,3 +1,7 @@
+import functools
+import importlib.util
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -26,3 +30,14 @@ def signed_zero_coeffs(rng, n: int) -> np.ndarray:
     x[rng.random((n, 8)) < 0.15] = 0.0
     x[rng.random((n, 8)) < 0.15] = -0.0
     return x
+
+
+@functools.cache
+def perfbench_gen():
+    """The benchmark's seeded input generator, ``perfbench/gen.py`` (stdlib
+    only), loaded by path."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "gen.py"
+    spec = importlib.util.spec_from_file_location("perfbench_gen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module

@@ -1,6 +1,7 @@
 """CLI: every subcommand, both output formats, and the exit-code
 contract (0 success, 1 domain error, 2 syntax/usage error)."""
 
+import argparse
 import contextlib
 import io
 import json
@@ -25,7 +26,9 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.cli import build_parser, main
+from geobyte.cli import _bind, _table, build_parser, main
+
+from conftest import perfbench_gen
 
 BYTE_TABLE = {
     "e0": "+++",
@@ -421,6 +424,130 @@ def test_dispatch_matches_top_level_parse_args(capsys, argv):
     got = code, *capsys.readouterr()
     code = _reference_main(list(argv))
     assert got == (code, *capsys.readouterr())
+
+
+# -- the binder: plain argv bound without argparse ------------------------
+
+# per subcommand: each argument (None for the positional) with values for
+# it, the valid ones first
+_VOCABULARY = {
+    "eval": {
+        None: ["e1*e2", "-e1", "1/0", "", "--"],
+        "--basis": ["structure", "blade", "vdiag", "qdiag", "nope", "-1"],
+        "--format": ["json", "text", "svg"],
+    },
+    "rotate": {
+        "--axis": ["0,0,1", "1,0,0", "1,2", "-1,0,0"],
+        "--theta": ["0.5", "1e-3", "-1", "nan"],
+        "--target": ["e1", "e1+e2", "-e2", "e1 +"],
+        "--format": ["json", "text"],
+    },
+    "reflect": {"--in": ["e23", "point", "e4"], "--target": ["A", "e1*e2", "-e1"], "--format": ["json"]},
+    "project": {
+        "--ideal": ["pos", "neg", "both"],
+        "--side": ["left", "right", "up"],
+        "--target": ["e1+e12", ""],
+        "--format": ["text", "json"],
+    },
+    "gate": {
+        "--name": ["not", "hadamard", "x"],
+        "--alpha": ["1,0", "0.6,0.8", "-1,0"],
+        "--beta": ["0,1", "nan,0"],
+        "--format": ["json", "text"],
+    },
+    "cube": {"--target": ["e12", "A+B", "-e1"], "--format": ["ascii", "svg", "text"]},
+    "signature": {"--blade": ["e13", "e0", "e4", "-e1"]},
+}
+# what no plain argv holds: help, "--" alone, empty and dash-only elements,
+# an unknown option, an option name that is empty before "="
+_ODD_PIECES = [["--"], ["-h"], ["--help"], [""], ["-"], ["-x"], ["--=e1"], ["extra"]]
+
+
+@st.composite
+def _argvs(draw):
+    """A subcommand and its arguments, mostly each once in a valid form,
+    sometimes omitted, repeated, abbreviated, given an invalid or
+    dash-leading value, or mixed with odd elements, in any order."""
+    cmd = draw(st.sampled_from(sorted(_VOCABULARY)))
+    pieces = []
+    for option, values in _VOCABULARY[cmd].items():
+        for _ in range(draw(st.sampled_from((1,) * 8 + (0, 2)))):
+            value = draw(st.sampled_from(values[:1] * 6 + values))
+            if option is None:
+                forms = [[value]] * 3 + [["--", value]]
+            else:
+                forms = [[option, value]] * 6 + [[f"{option}={value}"]] * 3 + [[option[:-1], value], [option]]
+            pieces.append(draw(st.sampled_from(forms)))
+    pieces += draw(st.sampled_from([[]] * 6 + [[piece] for piece in _ODD_PIECES]))
+    return [cmd, *(arg for piece in draw(st.permutations(pieces)) for arg in piece)]
+
+
+def _captured(route, argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = route(list(argv))
+    return code, out.getvalue(), err.getvalue()
+
+
+@settings(max_examples=300, deadline=None)
+@given(_argvs())
+@example(["eval", "--", "-e1"])
+@example(["eval", "--", "--"])
+@example(["eval", "--format", "json", "--", "e1"])
+@example(["eval", "e1", "--", "e2"])
+@example(["eval", "--", "e1", "--format", "json"])
+@example(["eval", "--basis=nope", "--basis", "blade", "e1"])
+@example(["eval", "--basis", "structure", "--basis=blade", "e1"])
+@example(["rotate", "--axis=-1,0,0", "--theta=-1", "--target="])
+@example(["cube", "--target", "", "--format=svg"])
+def test_binder_matches_argparse(argv):
+    # argparse's handling of "--" differs across Python versions; this
+    # holds the binder to the argparse that is running
+    parser = build_parser()
+    bound = _bind(parser, argv)
+    if bound is not None:
+        args, extras = parser.parse_known_args(argv)
+        assert (vars(bound), extras) == (vars(args), [])
+    assert _captured(main, argv) == _captured(_reference_main, argv)
+
+
+def test_table_only_for_plain_string_arguments():
+    p = argparse.ArgumentParser()
+    plain = p.add_argument("x"), p.add_argument("--y", choices=("a", "b"), default="a", dest="why")
+    positional, options, required, defaults = _table(p, *plain)
+    assert positional is plain[0] and options == {"--y": plain[1]}
+    assert required == {"x"} and defaults == {"x": None, "why": "a", "func": None}
+    for odd in (
+        p.add_argument("--n", type=float),
+        p.add_argument("--many", nargs=2),
+        p.add_argument("--flag", action="store_true"),
+        p.add_argument("--each", action="append"),
+        p.add_argument("z"),  # a second positional
+    ):
+        assert _table(p, *plain, odd) is None
+
+
+class _ArgparseReached(Exception):
+    pass
+
+
+def test_binder_binds_the_benchmark_pool(capsys, monkeypatch):
+    def refuse(*args, **kwargs):
+        raise _ArgparseReached
+
+    build_parser()
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", refuse)
+    for seed in (1, 7):
+        for spec in perfbench_gen().cli_ops(seed, 1000):
+            assert main(spec["argv"]) in (0, 1, 2)
+    capsys.readouterr()
+    for argv in (
+        ["eval", "-h"],
+        ["eval", "e1", "--bas", "structure"],
+        ["rotate", "--axis", "0,0,1", "--theta", "-1"],
+    ):
+        with pytest.raises(_ArgparseReached):
+            main(argv)
 
 
 def test_main_reads_sys_argv(capsys, monkeypatch):

@@ -2,6 +2,7 @@
 product identities expressed in expression syntax."""
 
 import math
+import random
 import struct
 
 import pytest
@@ -32,7 +33,8 @@ from geobyte.expressions import (
     evaluate,
 )
 
-from conftest import random_multivector
+from conftest import perfbench_gen, random_multivector
+from reference_parser import reference_evaluate_text, reference_parse
 
 E = {name: basis_element(name) for name in BLADE_NAMES}
 
@@ -307,3 +309,62 @@ def _outcome(route):
 def test_evaluate_text_matches_evaluate_of_parse(text):
     folded = _outcome(lambda: evaluate_text(text))
     assert folded == _outcome(lambda: evaluate(parse(text)))
+
+
+# -- the stack parser against the recursive-descent reference -------------
+
+# non-ASCII digits (Arabic-Indic, Devanagari, fullwidth) are digits to
+# both; superscripts and the other characters are not tokens
+_WIDE_ALPHABET = "0123456789.eE+-*/() iPNABCDbarevconj@\u0661\u0969\uff15\u00b2\t\n\u00a0\u2003\u3000"
+_WIDE_TEXTS = st.one_of(_TEXTS, st.text(alphabet=_WIDE_ALPHABET, max_size=40))
+
+
+def _tree_outcome(route, text):
+    try:
+        return route(text)
+    except ParseError as exc:
+        return "ParseError", str(exc), exc.offset, exc.expected
+
+
+def _assert_matches_reference(text):
+    assert _outcome(lambda: evaluate_text(text)) == _outcome(lambda: reference_evaluate_text(text))
+    assert _tree_outcome(parse, text) == _tree_outcome(reference_parse, text)
+
+
+def _generator_corpus():
+    """Texts as the benchmark writes them: its expressions, and the
+    expression arguments of its CLI pool, invalid ones included."""
+    gen = perfbench_gen()
+    texts = [gen.expression(random.Random(f"corpus:{i}"))[0] for i in range(200)]
+    for spec in gen.cli_ops(11, 400):
+        for arg in spec["argv"][1:]:
+            if "=" in arg or not arg.startswith("-"):
+                texts.append(arg.split("=", 1)[-1] if arg.startswith("--") else arg)
+    return texts
+
+
+def test_generator_corpus_matches_reference():
+    texts = _generator_corpus()
+    assert len(texts) > 600
+    for text in texts:
+        _assert_matches_reference(text)
+
+
+@settings(max_examples=300)
+@given(_WIDE_TEXTS)
+@example("\u0661 + \u0969/\uff15")
+@example("e1 \u00a0* e2\u3000")
+@example("e1 + ")
+@example("(e1 e2)")
+@example("rev e1")
+@example("rev")
+@example("+@")
+@example("1/ 2")
+@example("1e400/")
+@example("(" * 101 + "@")
+@example("(" * 5000 + "@")
+@example("bar(" * 101 + "e1")
+@example("-(" * 51)
+@example("e1)")
+def test_parser_matches_reference(text):
+    _assert_matches_reference(text)
