@@ -17,6 +17,13 @@ converts its arguments writes its own ``__init__`` and stores with
 :data:`_set`.  Plain classes, because ``dataclasses`` and building frozen
 dataclasses were most of the package's import time; not ``NamedTuple``,
 whose records of different classes compare equal.
+
+A subclass that adds fields below such a hand-written ``__init__`` keeps
+its conversion and checks: the generated ``__init__`` passes the inherited
+fields to that ``__init__``, then stores its own.  Its ``__reduce__`` takes
+the leading constructor arguments from the converting class's
+``__reduce__`` (which may write them in another form than the fields, or
+add options after them) and appends its own fields.
 """
 
 _set = object.__setattr__
@@ -25,26 +32,40 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
     _FIELDS: tuple = ()
+    #: the nearest class that writes its own ``__init__``, and the number
+    #: of leading fields that ``__init__`` stores (0: no such class)
+    _CONVERTER: tuple = (None, 0)
 
     def __init_subclass__(cls, **kwargs):
         super().__init_subclass__(**kwargs)
         own = vars(cls).get("__slots__", ())
         cls._FIELDS = fields = cls._FIELDS + ((own,) if isinstance(own, str) else tuple(own))
+        if "__init__" in vars(cls):
+            cls._CONVERTER = (cls, len(fields))
+        converter, k = cls._CONVERTER
         params = ", ".join(fields)
-        stores = "".join(f"    _set{i}(self, {f})\n" for i, f in enumerate(fields))
-        src = f"def _trusted({params}):\n    self = _new(_cls)\n{stores}    return self\n"
+        stores = [f"    _set{i}(self, {f})\n" for i, f in enumerate(fields)]
+        src = f"def _trusted({params}):\n    self = _new(_cls)\n{''.join(stores)}    return self\n"
         if own and "__init__" not in vars(cls):
+            convert = f"    _converter.__init__(self, {', '.join(fields[:k])})\n" if k else ""
             check = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
-            src += f"def __init__(self, {params}):\n{stores}{check}"
-        namespace = {"__name__": cls.__module__, "_new": object.__new__, "_cls": cls}
+            src += f"def __init__(self, {params}):\n{convert}{''.join(stores[k:])}{check}"
+            if k and "__reduce__" not in vars(cls):
+                added = "".join(f" self.{f}," for f in fields[k:])
+                src += (
+                    "def __reduce__(self):\n"
+                    f"    return type(self), (*_converter.__reduce__(self)[1][:{k}],{added})\n"
+                )
+        namespace = {
+            "__name__": cls.__module__, "_new": object.__new__, "_cls": cls, "_converter": converter
+        }
         namespace.update((f"_set{i}", getattr(cls, f).__set__) for i, f in enumerate(fields))
         exec(compile(src, f"<record {cls.__qualname__}>", "exec"), namespace)
-        for name in ("_trusted", "__init__"):
+        for name in ("_trusted", "__init__", "__reduce__"):
             if name in namespace:
                 namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
-        cls._trusted = staticmethod(namespace["_trusted"])
-        if "__init__" in namespace:
-            cls.__init__ = namespace["__init__"]
+                setattr(cls, name, namespace[name])
+        cls._trusted = staticmethod(cls._trusted)
 
     def _fields(self) -> tuple:
         return tuple(getattr(self, name) for name in self._FIELDS)

@@ -27,6 +27,7 @@ whose source text pins the summation order:
 from __future__ import annotations
 
 import math
+import operator
 from typing import Iterable, Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
@@ -64,7 +65,13 @@ class Paravector(Record):
 
 
 def paravector(axis: int, polarity: Polarity) -> Paravector:
-    """P_axis = (e0 + e_axis)/2 or N_axis = (e0 - e_axis)/2."""
+    """P_axis = (e0 + e_axis)/2 or N_axis = (e0 - e_axis)/2.
+
+    ``axis`` is an integer (any type with ``__index__``, stored as int)."""
+    try:
+        axis = operator.index(axis)
+    except TypeError:
+        raise DomainError(f"paravector axis must be 1..3, got {axis!r}") from None
     if axis not in (1, 2, 3):
         raise DomainError(f"paravector axis must be 1..3, got {axis}")
     if polarity not in ("positive", "negative"):
@@ -259,14 +266,21 @@ DiagKind = Literal["vector_diag", "quaternion_diag"]
 _DIAG_PAIRS = (("A", "Abar"), ("B", "Bbar"), ("C", "Cbar"), ("D", "Dbar"))
 
 
+#: kind -> its four basis elements
+_DIAG_BASES: dict[str, tuple[Multivector, ...]] = {
+    "vector_diag": tuple(_STRUCTURE[a] - _STRUCTURE[b] for a, b in _DIAG_PAIRS),
+    "quaternion_diag": tuple(_STRUCTURE[a] + _STRUCTURE[b] for a, b in _DIAG_PAIRS),
+}
+
+
 def diag_basis(kind: DiagKind) -> tuple[Multivector, Multivector, Multivector, Multivector]:
     """The (X - Xbar) family (odd, vector-like) or the (X + Xbar) family
-    (even, quaternion-like), computed from the structure elements."""
-    if kind == "vector_diag":
-        return tuple(_STRUCTURE[a] - _STRUCTURE[b] for a, b in _DIAG_PAIRS)
-    if kind == "quaternion_diag":
-        return tuple(_STRUCTURE[a] + _STRUCTURE[b] for a, b in _DIAG_PAIRS)
-    raise DomainError(f"unknown diagonal basis {kind!r}")
+    (even, quaternion-like), derived once at import from the structure
+    elements."""
+    try:
+        return _DIAG_BASES[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown diagonal basis {kind!r}") from None
 
 
 def _diag_kernel(kind: DiagKind):
@@ -277,7 +291,7 @@ def _diag_kernel(kind: DiagKind):
     G = 4 * coefficients is +-1 with G @ G.T = 4 I, so G itself is the
     exact inverse and coefficient r is sum_b G[r][b] c_b.
     """
-    basis = diag_basis(kind)
+    basis = _DIAG_BASES[kind]
     live = [b for b in range(8) if any(e._c[b] != 0.0 for e in basis)]
     g = [[4.0 * e._c[b] for b in live] for e in basis]
     if any(abs(x) != 1.0 for row in g for x in row) or any(
@@ -291,14 +305,16 @@ def _diag_kernel(kind: DiagKind):
     return compile_kernel(kind, ("c",), outputs)
 
 
-_DIAG_KERNELS = {k: _diag_kernel(k) for k in ("vector_diag", "quaternion_diag")}
+_DIAG_KERNELS = {kind: _diag_kernel(kind) for kind in _DIAG_BASES}
 
 
 def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], float]:
     """Coefficients of the in-span part of ``m`` plus out-of-span residual norm."""
-    if kind not in _DIAG_KERNELS:
-        raise DomainError(f"unknown diagonal basis {kind!r}")
-    d1, d2, d3, d4, rest2 = _DIAG_KERNELS[kind](m._c)
+    try:
+        kernel = _DIAG_KERNELS[kind]
+    except (KeyError, TypeError):  # TypeError: an unhashable kind
+        raise DomainError(f"unknown diagonal basis {kind!r}") from None
+    d1, d2, d3, d4, rest2 = kernel(m._c)
     return (d1, d2, d3, d4), math.sqrt(rest2)
 
 

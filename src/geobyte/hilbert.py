@@ -33,7 +33,7 @@ from ._record import Record
 from .clusters import N1, N3, P1, P3
 from .errors import DomainError
 from .multivector import ComplexScalar, Multivector, require_finite
-from .transforms import Quaternion
+from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
 Variance = Literal["contravariant", "covariant"]
@@ -44,6 +44,8 @@ _E1 = Multivector.basis("e1")
 _E3 = Multivector.basis("e3")
 #: the basis spinor of the positive contravariant ideal beside P3
 E1P3 = _E1 * P3
+#: the Hadamard regrouping's bases, P1*P3 = A + C and N1*P3 = B + Dbar
+_HADAMARD_BASES = (P1 * P3, N1 * P3)
 
 
 def _projector(ideal: Ideal) -> Multivector:
@@ -168,9 +170,11 @@ def outer(s: Spinor, sc: Spinor) -> ParavectorState:
 
 
 def reconstruct_vector(q: Quaternion) -> Multivector:
-    """Q*P3*~Q - Q*N3*~Q, the rotated image of e3."""
-    qv, qr = q.value, q.reversion()
-    return qv * P3 * qr - qv * N3 * qr
+    """Q*P3*~Q - Q*N3*~Q, the rotated image of e3.
+
+    P3 - N3 = e3 exactly, so this is the one sandwich Q*e3*~Q,
+    :func:`geobyte.transforms.rotate` of e3."""
+    return rotate(_E3, q)
 
 
 def spinor_components(s: Spinor) -> tuple[complex, complex]:
@@ -215,12 +219,7 @@ def hadamard_regroup(s: Spinor) -> HadamardTerms:
     plus, minus = alpha + beta, alpha - beta
     if not (cmath.isfinite(plus) and cmath.isfinite(minus)):
         raise DomainError(f"Hadamard coefficients overflow: {plus!r}, {minus!r}")
-    return HadamardTerms(
-        coeff_plus=plus,
-        coeff_minus=minus,
-        plus_basis=P1 * P3,
-        minus_basis=N1 * P3,
-    )
+    return HadamardTerms(plus, minus, *_HADAMARD_BASES)
 
 
 def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:

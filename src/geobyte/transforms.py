@@ -14,9 +14,15 @@ build their result with :func:`_quaternion` (``Quaternion._trusted``),
 which trusts it:
 
 - :func:`quaternion_from_axis_angle` has checked the axis (unit within
-  tolerance) and the angle (finite) itself.  Its value is cos - sin *
-  (e123 * c) for a vector c, whose grade-1 and grade-3 coefficients are
-  exact zeros.
+  tolerance) and the angle (finite) itself.  It writes the eight
+  coefficients of cos - sin * (e123 * c) directly, without the product:
+  cos(t/2) on e0, -sin(t/2) * (c3, c1, -c2) on (e12, e23, e13), and exact
+  zeros on the odd blades.  Each coefficient repeats the arithmetic the
+  product route ``cos(t/2) * E0 - sin(t/2) * (E123 * c)`` does on it,
+  zero terms included (a ``0.0 * cos`` or ``0.0 * sin`` where the route
+  multiplies by a zero coefficient, and ``0.0 + c_i`` where its
+  accumulator starts), so the tuple is bit-identical to that route's,
+  signed zeros included.
 - Negation keeps evenness, finiteness and the norm exactly.
 
 :func:`compose` stays checked: a product of two quaternions that are unit
@@ -31,7 +37,7 @@ from typing import Callable
 from ._record import Record, _set
 from .clusters import LABELS, structure_element, to_structure_coords
 from .errors import DomainError
-from .multivector import E0, E123, Multivector, _wrap, require_finite
+from .multivector import E0, Multivector, _wrap, require_finite
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -129,8 +135,17 @@ def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
     if not math.isfinite(aa.theta):
         raise DomainError(f"rotation angle must be finite, got {aa.theta!r}")
     half = 0.5 * aa.theta
-    c = _wrap((0.0, float(aa.c1), float(aa.c2), float(aa.c3), 0.0, 0.0, 0.0, 0.0))
-    return _quaternion(math.cos(half) * E0 - math.sin(half) * (E123 * c))
+    k, s = math.cos(half), math.sin(half)
+    z, sz = 0.0 * k, 0.0 * s
+    # e123 * c = c1 e23 - c2 e13 + c3 e12; each term repeats the product
+    # route's zero arithmetic, so every zero keeps that route's sign
+    return _quaternion(_wrap((
+        k - sz, z - sz, z - sz, z - sz,
+        z - (0.0 + float(aa.c3)) * s,
+        z - (0.0 + float(aa.c1)) * s,
+        z - (0.0 - float(aa.c2)) * s,
+        z - sz,
+    )))
 
 
 def cayley_klein(q: Quaternion) -> CayleyKlein:

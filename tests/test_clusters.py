@@ -343,3 +343,35 @@ def test_diag_projection_against_numpy_product(rng):
             rest = np.delete(c, live)
             want = float(np.sqrt(np.dot(rest, rest)))
             assert abs(residual - want) <= np.spacing(want), c
+
+
+def test_diag_bases_are_the_structure_sums():
+    pairs = (("A", "Abar"), ("B", "Bbar"), ("C", "Cbar"), ("D", "Dbar"))
+    s = structure_element
+    assert [m._c for m in diag_basis("vector_diag")] == [(s(a) - s(b))._c for a, b in pairs]
+    assert [m._c for m in diag_basis("quaternion_diag")] == [(s(a) + s(b))._c for a, b in pairs]
+
+
+@pytest.mark.parametrize("kind", ["mixed", ["vector_diag"], None, b"vector_diag"])
+def test_unknown_diag_kind_is_a_domain_error(kind):
+    with pytest.raises(DomainError, match="unknown diagonal basis"):
+        diag_basis(kind)
+    with pytest.raises(DomainError, match="unknown diagonal basis"):
+        diag_projection(E["e0"], kind)
+
+
+@pytest.mark.parametrize("axis", [1.0, "1", 2.5, None])
+def test_paravector_axis_must_be_an_integer(axis):
+    message = f"paravector axis must be 1..3, got {axis!r}"
+    for make in (paravector, face_paravector):
+        with pytest.raises(DomainError) as err:
+            make(axis, "positive")
+        assert str(err.value) == message
+
+
+def test_paravector_axis_is_stored_as_int():
+    for axis in (np.int64(2), np.uint8(3), True):
+        p = paravector(axis, "negative")
+        assert type(p.axis) is int and p.axis == int(axis)
+        assert p == paravector(int(axis), "negative")
+        assert face_paravector(axis, "negative") == face_paravector(int(axis), "negative")

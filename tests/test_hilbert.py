@@ -375,3 +375,22 @@ def test_scalar_vector_ambiguity():
     assert project(E["e0"], "positive", "right").value == project(
         E["e3"], "positive", "right"
     ).value
+
+
+def test_reconstruct_vector_is_one_sandwich(rng):
+    # P3 - N3 = e3 exactly, so Q*P3*~Q - Q*N3*~Q is the rotation of e3
+    assert P3 - N3 == E["e3"]
+    qs = [random_unit_quaternion(rng) for _ in range(500)]
+    qs += [quaternion_from_axis_angle(AxisAngle(0.0, 0.6, -0.8, t)) for t in (0.0, -0.0, math.pi)]
+    for q in qs:
+        a = reconstruct_vector(q)
+        assert a._c == rotate(E["e3"], q)._c
+        qv, qr = q.value, q.reversion()
+        assert a.approx_eq(qv * P3 * qr - qv * N3 * qr, 1e-15)
+
+
+def test_hadamard_bases_are_the_products():
+    for s in (spinor_from_components(1, 0), spinor_from_components(0.25j, -3)):
+        terms = hadamard_regroup(s)
+        assert terms.plus_basis._c == (P1 * P3)._c
+        assert terms.minus_basis._c == (N1 * P3)._c

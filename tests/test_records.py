@@ -229,3 +229,38 @@ def test_structure_coords_convert_their_input():
             StructureCoords(bad)
     with pytest.raises(TypeError):
         StructureCoords(8)
+
+
+# the classes with a hand-written constructor: class, constructor
+# arguments, arguments the constructor rejects
+CONVERTING = [
+    (Multivector, ([1] * 8,), ([1] * 7,)),
+    (Quaternion, (quaternion_from_axis_angle(AxisAngle(0, 0.6, 0.8, 1.25)).value,),
+     (Multivector([2, 0, 0, 0, 0, 0, 0, 0]),)),
+    (ComplexMatrix2, ([[1, 2j], [3, -4]],), ([1, 2, 3],)),
+    (StructureCoords, (range(8),), (range(7),)),
+    (ComplexScalar, (1.5, -2.0), ()),
+]
+
+
+@pytest.mark.parametrize("cls, args, bad", CONVERTING, ids=[c[0].__name__ for c in CONVERTING])
+def test_subclass_fields_below_a_converting_constructor(cls, args, bad, monkeypatch):
+    tagged = type("Tagged", (cls,), {"__slots__": ("tag",)})
+    twice = type("Twice", (tagged,), {"__slots__": ("note",)})
+    monkeypatch.setitem(globals(), "Tagged", tagged)  # so pickle can find them
+    monkeypatch.setitem(globals(), "Twice", twice)
+    base = cls(*args)
+    for rec, own in ((tagged(*args, 0), (0,)), (twice(*args, tag=0, note="n"), (0, "n"))):
+        # the parent's constructor converted its fields
+        assert rec._fields() == (*base._fields(), *own)
+        for how in COPIES.values():
+            back = how(rec)
+            assert type(back) is type(rec) and back._fields() == rec._fields()
+    if bad:
+        with pytest.raises((ValueError, DomainError)):
+            tagged(*bad, 0)
+
+
+def test_subclass_of_multivector_stores_floats():
+    rec = type("T", (Multivector,), {"__slots__": ("tag",)})([1] * 8, 0)
+    assert rec._c == (1.0,) * 8 and all(type(x) is float for x in rec._c)

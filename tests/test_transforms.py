@@ -1,10 +1,14 @@
 """Rotations, parameterizations, reflections, and the signed
 permutations reflections induce on the structure elements."""
 
+import itertools
 import math
+import struct
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from geobyte import (
     AxisAngle,
@@ -346,3 +350,53 @@ def test_structure_permutation_matrix_oracle(op):
         assert sign in (1, -1)
         image = REFLECTIONS[op](structure_element(label))
         assert to_matrix(image) == sign * to_matrix(structure_element(target)), (op, label)
+
+
+# -- the closed-form axis-angle quaternion --------------------------------
+
+
+def _product_route(aa: AxisAngle) -> Multivector:
+    """Reference: cos(theta/2) * E0 - sin(theta/2) * (E123 * c) through
+    the geometric product, as quaternion_from_axis_angle once computed it."""
+    half = 0.5 * aa.theta
+    c = Multivector([0.0, aa.c1, aa.c2, aa.c3, 0.0, 0.0, 0.0, 0.0])
+    return math.cos(half) * E["e0"] - math.sin(half) * (E["e123"] * c)
+
+
+def _assert_same_bits(aa: AxisAngle) -> None:
+    got = quaternion_from_axis_angle(aa).value._c
+    assert struct.pack("8d", *got) == struct.pack("8d", *_product_route(aa)._c), aa
+
+
+_SPECIAL_THETAS = (0.0, -0.0, math.pi, -math.pi, 2 * math.pi, -2 * math.pi, 3 * math.pi)
+
+
+@pytest.mark.parametrize("theta", _SPECIAL_THETAS)
+def test_axis_angle_quaternion_is_the_product_route_bit_for_bit(theta):
+    # every basis axis, both directions, with each zero component +0.0 or -0.0
+    for i in range(3):
+        for one in (1.0, -1.0):
+            for zeros in itertools.product((0.0, -0.0), repeat=2):
+                axis = list(zeros)
+                axis.insert(i, one)
+                _assert_same_bits(AxisAngle(*axis, theta))
+    _assert_same_bits(AxisAngle(0, 0.6, -0.8, theta))
+    _assert_same_bits(AxisAngle(0, 0, 1, theta))  # integer components
+
+
+_signed_zero = st.sampled_from((0.0, -0.0))
+
+
+@st.composite
+def _axis_angles(draw):
+    v = [draw(st.one_of(_signed_zero, st.floats(-1.0, 1.0))) for _ in range(3)]
+    n = math.sqrt(sum(x * x for x in v))
+    assume(n > 0.1)
+    theta = draw(st.one_of(st.sampled_from(_SPECIAL_THETAS), st.floats(-1e300, 1e300)))
+    return AxisAngle(*(x / n for x in v), theta)
+
+
+@settings(max_examples=500, deadline=None)
+@given(_axis_angles())
+def test_axis_angle_quaternion_matches_the_product_route(aa):
+    _assert_same_bits(aa)
