@@ -4,17 +4,19 @@ Exit codes: 0 success, 1 domain error, 2 syntax or usage error.  Every
 number a command prints passes :func:`_finite` first, so a value that
 overflows after parsing exits 1 instead of printing inf or nan.
 
-Dispatch: ``main`` binds a plain command line straight to a namespace,
-through a table that ``build_parser`` derives from each subcommand's
-``add_argument`` actions (see :func:`_bind`).  Plain means a subcommand,
-then each option exactly as ``--opt value`` or ``--opt=value`` (a
-separate value must not start with "-"), the positional anywhere or as
-``-- EXPR`` at the end, every required argument given (a repeated option
-keeps its last value, as in argparse), and every value one of its
-choices.  Every other command line (help, an abbreviation, an unknown
-option, any other "--", an invalid choice, a missing or extra argument,
-an empty or unknown command) goes through the top-level ``parse_args``,
-so both routes print the same output and exit codes.
+Dispatch: the subcommands and their arguments are declared once, in
+``_COMMANDS``.  ``main`` binds a plain command line straight from that
+table to a namespace (see :func:`_bind`).  Plain means a subcommand, then
+each option exactly as ``--opt value`` or ``--opt=value`` (a separate
+value must not start with "-"), the positional anywhere or as ``-- EXPR``
+at the end, every required argument given (a repeated option keeps its
+last value, as in argparse), and every value one of its choices.  Every
+other command line (help, an abbreviation, an unknown option, any other
+"--", an invalid choice, a missing or extra argument, an empty or unknown
+command) goes to the top-level ``parse_args`` of the parser that
+:func:`build_parser` builds from the same table.  argparse is imported
+and that parser built only then, and both routes print the same output
+and exit codes.
 
 The spinor and cube layers are imported inside the subcommands that use
 them, so ``eval`` and the other commands never load them.
@@ -22,11 +24,11 @@ them, so ``eval`` and the other commands never load them.
 
 from __future__ import annotations
 
-import argparse
 import functools
 import json
 import math
 import sys
+from types import SimpleNamespace
 
 from ._kernels import BLADE_NAMES
 from .clusters import blade_to_byte_signature, diag_projection, to_structure_coords
@@ -180,36 +182,56 @@ def _cmd_signature(args) -> int:
     return 0
 
 
-def _table(p: argparse.ArgumentParser, *actions: argparse.Action):
-    """How :func:`_bind` reads the arguments of subcommand parser ``p``,
-    derived from the ``actions`` that its ``add_argument`` calls returned:
-    the positional, the options by option string, the set of required
-    dests and the namespace defaults.  None, so that every argv goes to
-    argparse, unless each action stores one plain string and at most one
-    is positional."""
-    positional = None
-    options, required, defaults = {}, set(), {}
-    for a in actions:
-        if type(a) is not argparse._StoreAction or a.type is not None or a.nargs is not None:
-            return None
-        if not a.option_strings:
-            if positional is not None:
-                return None
-            positional = a
-        options.update(dict.fromkeys(a.option_strings, a))
-        if a.required:
-            required.add(a.dest)
-        defaults[a.dest] = a.default
-    defaults["func"] = p.get_default("func")
-    return positional, options, required, defaults
+_FORMAT = {"--format": {"choices": ("text", "json"), "default": "text"}}
+
+#: each subcommand's handler, help text and arguments: the positional's
+#: dest or an option's flag, each with the keywords of its ``add_argument``
+_COMMANDS = {
+    "eval": (_cmd_eval, "evaluate an expression", {
+        "expr": {},
+        "--basis": {"choices": _BASIS_CHOICES, "default": "blade"},
+        **_FORMAT,
+    }),
+    "rotate": (_cmd_rotate, "rotate a target about an axis", {
+        "--axis": {"required": True, "metavar": "X,Y,Z"},
+        "--theta": {"required": True, "help": "angle in radians"},
+        "--target": {"default": "e3"},
+        **_FORMAT,
+    }),
+    "reflect": (_cmd_reflect, "reflect a target in a point, line or plane", {
+        "--in": {"dest": "mirror", "required": True, "choices": tuple(REFLECTIONS)},
+        "--target": {"required": True},
+        **_FORMAT,
+    }),
+    "project": (_cmd_project, "project into a spinor ideal", {
+        "--ideal": {"required": True, "choices": ("pos", "neg")},
+        "--side": {"required": True, "choices": ("left", "right")},
+        "--target": {"required": True},
+        **_FORMAT,
+    }),
+    "gate": (_cmd_gate, "apply a gate analog to alpha*P3 + beta*(e1*P3)", {
+        "--name": {"required": True, "choices": ("not", "hadamard")},
+        "--alpha": {"required": True, "metavar": "RE,IM"},
+        "--beta": {"required": True, "metavar": "RE,IM"},
+        **_FORMAT,
+    }),
+    "cube": (_cmd_cube, "render the unit-cube structure view", {
+        "--target": {"required": True},
+        "--format": {"choices": ("ascii", "svg"), "default": "ascii"},
+    }),
+    "signature": (_cmd_signature, "byte signature of a basis blade", {
+        "--blade": {"required": True, "choices": BLADE_NAMES},
+    }),
+}
 
 
 @functools.cache
-def build_parser() -> argparse.ArgumentParser:
-    """The CLI's argument parser, built once per process; ``main`` only
-    reads it, so repeated ``main(argv)`` calls stay independent.  Its
-    ``tables`` attribute maps each subcommand name to the :func:`_table`
-    that :func:`_bind` reads."""
+def build_parser():
+    """The CLI's argument parser, built once per process from
+    :data:`_COMMANDS`; ``main`` only reads it, so repeated ``main(argv)``
+    calls stay independent."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="geobyte",
         description="Geometric algebra G(3,0) engine: evaluate Clifford "
@@ -217,110 +239,61 @@ def build_parser() -> argparse.ArgumentParser:
         "gate analogs, and draw the unit-cube structure view.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    tables = parser.tables = {}
-
-    p = sub.add_parser("eval", help="evaluate an expression")
-    p.set_defaults(func=_cmd_eval)
-    tables["eval"] = _table(
-        p,
-        p.add_argument("expr"),
-        p.add_argument("--basis", choices=_BASIS_CHOICES, default="blade"),
-        p.add_argument("--format", choices=("text", "json"), default="text"),
-    )
-
-    p = sub.add_parser("rotate", help="rotate a target about an axis")
-    p.set_defaults(func=_cmd_rotate)
-    tables["rotate"] = _table(
-        p,
-        p.add_argument("--axis", required=True, metavar="X,Y,Z"),
-        p.add_argument("--theta", required=True, help="angle in radians"),
-        p.add_argument("--target", default="e3"),
-        p.add_argument("--format", choices=("text", "json"), default="text"),
-    )
-
-    p = sub.add_parser("reflect", help="reflect a target in a point, line or plane")
-    p.set_defaults(func=_cmd_reflect)
-    tables["reflect"] = _table(
-        p,
-        p.add_argument("--in", dest="mirror", required=True, choices=tuple(REFLECTIONS)),
-        p.add_argument("--target", required=True),
-        p.add_argument("--format", choices=("text", "json"), default="text"),
-    )
-
-    p = sub.add_parser("project", help="project into a spinor ideal")
-    p.set_defaults(func=_cmd_project)
-    tables["project"] = _table(
-        p,
-        p.add_argument("--ideal", required=True, choices=("pos", "neg")),
-        p.add_argument("--side", required=True, choices=("left", "right")),
-        p.add_argument("--target", required=True),
-        p.add_argument("--format", choices=("text", "json"), default="text"),
-    )
-
-    p = sub.add_parser("gate", help="apply a gate analog to alpha*P3 + beta*(e1*P3)")
-    p.set_defaults(func=_cmd_gate)
-    tables["gate"] = _table(
-        p,
-        p.add_argument("--name", required=True, choices=("not", "hadamard")),
-        p.add_argument("--alpha", required=True, metavar="RE,IM"),
-        p.add_argument("--beta", required=True, metavar="RE,IM"),
-        p.add_argument("--format", choices=("text", "json"), default="text"),
-    )
-
-    p = sub.add_parser("cube", help="render the unit-cube structure view")
-    p.set_defaults(func=_cmd_cube)
-    tables["cube"] = _table(
-        p,
-        p.add_argument("--target", required=True),
-        p.add_argument("--format", choices=("ascii", "svg"), default="ascii"),
-    )
-
-    p = sub.add_parser("signature", help="byte signature of a basis blade")
-    p.set_defaults(func=_cmd_signature)
-    tables["signature"] = _table(p, p.add_argument("--blade", required=True, choices=BLADE_NAMES))
-
+    for command, (func, help_text, arguments) in _COMMANDS.items():
+        p = sub.add_parser(command, help=help_text)
+        p.set_defaults(func=func)
+        for name, keywords in arguments.items():
+            p.add_argument(name, **keywords)
     return parser
 
 
-def _bind(parser: argparse.ArgumentParser, argv: list) -> argparse.Namespace | None:
+def _bind(argv: list) -> SimpleNamespace | None:
     """The namespace argparse would make of a plain ``argv`` (see the
-    module docstring), or None to leave ``argv`` to argparse."""
-    table = parser.tables.get(argv[0]) if argv else None
-    if table is None:
+    module docstring), read from :data:`_COMMANDS`, or None to leave
+    ``argv`` to argparse."""
+    command = _COMMANDS.get(argv[0]) if argv else None
+    if command is None:
         return None
-    positional, options, required, defaults = table
+    func, _, arguments = command
+    positional = next((name for name in arguments if name[0] != "-"), None)
     values = {}
     rest = argv[:0:-1]  # the arguments, last first
     while rest:
         arg = rest.pop()
         if arg[:1] != "-":
-            action, value = positional, arg
+            name, value = positional, arg
         elif arg == "--" and len(rest) == 1 and rest[0] != "--":
-            action, value = positional, rest.pop()
-        elif arg in options and rest and rest[-1][:1] != "-":
-            action, value = options[arg], rest.pop()
+            name, value = positional, rest.pop()
+        elif arg in arguments and rest and rest[-1][:1] != "-":
+            name, value = arg, rest.pop()
         else:
-            option, eq, value = arg.partition("=")
-            action = options.get(option) if eq else None
-        if (
-            action is None
-            or action is positional and action.dest in values
-            or action.choices is not None and value not in action.choices
-        ):
+            name, eq, value = arg.partition("=")
+            if not eq:
+                return None
+        keywords = arguments.get(name)
+        if keywords is None or name == positional and name in values:
             return None
-        values[action.dest] = value
-    if not values.keys() >= required:
-        return None
-    return argparse.Namespace(**{**defaults, **values, "command": argv[0]})
+        if "choices" in keywords and value not in keywords["choices"]:
+            return None
+        values[name] = value
+    bound = {"command": argv[0], "func": func}
+    for name, keywords in arguments.items():
+        if name in values:
+            value = values[name]
+        elif name == positional or keywords.get("required"):
+            return None
+        else:
+            value = keywords.get("default")
+        bound[keywords.get("dest", name.lstrip("-"))] = value
+    return SimpleNamespace(**bound)
 
 
 def main(argv=None) -> int:
     argv = sys.argv[1:] if argv is None else list(argv)
-    parser = build_parser()
-    args = _bind(parser, argv)
+    args = _bind(argv)
     if args is None:
         try:
-            args = parser.parse_args(argv)
+            args = build_parser().parse_args(argv)
         except SystemExit as exc:
             return exc.code if isinstance(exc.code, int) else 2
     try:

@@ -205,7 +205,7 @@ class ByteSignature(Record):
     def __post_init__(self):
         for s in (self.s1, self.s2, self.s3):
             if s not in (1, -1):
-                raise DomainError("signature components must be +1 or -1")
+                raise DomainError(f"signature components must be +1 or -1, got {s!r}")
 
     def __str__(self) -> str:
         return "".join("+" if s > 0 else "-" for s in (self.s1, self.s2, self.s3))

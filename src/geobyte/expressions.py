@@ -28,9 +28,11 @@ Grammar (products need an explicit '*'; "e12" is a single token):
 A number written with an exponent is one token, so "2e12" is the number
 2e12; write "2*e12" for twice the blade.  A NUMBER must be finite and its
 denominator nonzero.  Parentheses, function calls and unary minus together
-nest at most MAX_DEPTH levels deep.  The loop itself needs no such cap; it
-stays because :func:`evaluate` of a tree still recurses into every nested
-node, and so that a text over the cap keeps its error and its offset.
+nest at most MAX_DEPTH levels deep.  Neither the parser's loop nor
+:func:`evaluate` needs such a cap.  It stays so that a text over the cap
+keeps its error and its offset, and because ``==``, ``hash`` and ``repr``
+of a tree (the generic :class:`Record` methods) still recurse into every
+nested node.
 """
 
 from __future__ import annotations
@@ -252,28 +254,36 @@ _VALUE_BUILD = (
 def evaluate(e: Expr) -> Multivector:
     """Bottom-up evaluation to a multivector; i is the pseudoscalar.
 
-    The left spine of a binary-operator chain is walked with a loop, so a
-    long sum or product costs no recursion depth.
+    One post-order walk with an explicit stack, so a tree of any depth or
+    chain length costs no recursion depth.  Each binary operator takes
+    its left value, then its right, as a recursive walk would.
     """
-    chain = []
-    while isinstance(e, BinOp):
-        chain.append(e)
-        e = e.left
-    if isinstance(e, Literal):
-        value = Multivector.scalar(e.value)
-    elif isinstance(e, Imaginary):
-        value = _I
-    elif isinstance(e, Const):
-        value = _CONSTANTS[e.name]
-    elif isinstance(e, Neg):
-        value = -evaluate(e.child)
-    elif isinstance(e, Func):
-        value = _FUNC_IMPL[e.name](evaluate(e.child))
-    else:
-        raise TypeError(f"not an expression node: {e!r}")
-    for node in reversed(chain):
-        value = _BINOP_IMPL[node.op](value, evaluate(node.right))
-    return value
+    nodes, todo = [], [e]  # ``nodes`` in pre-order, right subtree first
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if isinstance(node, BinOp):
+            todo += (node.left, node.right)
+        elif isinstance(node, (Neg, Func)):
+            todo.append(node.child)
+    values = []
+    for node in reversed(nodes):  # post-order: left, right, then the node
+        if isinstance(node, BinOp):
+            right = values.pop()
+            values[-1] = _BINOP_IMPL[node.op](values[-1], right)
+        elif isinstance(node, Neg):
+            values[-1] = -values[-1]
+        elif isinstance(node, Func):
+            values[-1] = _FUNC_IMPL[node.name](values[-1])
+        elif isinstance(node, Literal):
+            values.append(Multivector.scalar(node.value))
+        elif isinstance(node, Imaginary):
+            values.append(_I)
+        elif isinstance(node, Const):
+            values.append(_CONSTANTS[node.name])
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+    return values[0]
 
 
 def evaluate_text(text: str) -> Multivector:

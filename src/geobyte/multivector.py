@@ -75,7 +75,7 @@ class Multivector(Record):
         # a string is iterable, but its characters are not coefficients
         c = () if isinstance(coeffs, (str, bytes)) else tuple(map(float, coeffs))
         if len(c) != 8:
-            raise ValueError("Multivector needs exactly 8 coefficients")
+            raise ValueError(f"Multivector needs exactly 8 coefficients, got {len(c)}")
         _set(self, "_c", c)
 
     # -- constructors -------------------------------------------------
@@ -162,7 +162,7 @@ class Multivector(Record):
         """Every absolute coefficient difference at most ``tol``; false
         when any difference is NaN."""
         if tol < 0:
-            raise DomainError("tolerance must be nonnegative")
+            raise DomainError(f"tolerance must be nonnegative, got {tol!r}")
         return all(abs(d) <= tol for d in _sub(self._c, other._c))
 
     def norm(self) -> float:

@@ -87,7 +87,7 @@ class Quaternion(Record):
             raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
         if require_unit:
             if not _is_unit(value):
-                raise DomainError("quaternion is not unit")
+                raise DomainError(f"quaternion is not unit, got norm {value.norm()!r}")
         else:
             require_finite(value._c, "quaternion coefficients")
         _set(self, "_value", value)
@@ -131,7 +131,8 @@ def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
     """exp(-e123 * c * theta/2) = cos(theta/2) - e123*c*sin(theta/2)."""
     n2 = aa.c1 * aa.c1 + aa.c2 * aa.c2 + aa.c3 * aa.c3  # ** would raise on overflow
     if not (abs(n2 - 1.0) <= _UNIT_TOL):
-        raise DomainError("rotation axis must be a unit vector")
+        axis = (aa.c1, aa.c2, aa.c3)
+        raise DomainError(f"rotation axis must be a unit vector, got {axis!r} with squared norm {n2!r}")
     if not math.isfinite(aa.theta):
         raise DomainError(f"rotation angle must be finite, got {aa.theta!r}")
     half = 0.5 * aa.theta

@@ -26,7 +26,7 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.cli import _bind, _table, build_parser, main
+from geobyte.cli import _bind, build_parser, main
 
 from conftest import perfbench_gen
 
@@ -269,7 +269,7 @@ def test_cli_runs_without_numpy():
         "import sys, geobyte, geobyte.cli\n"
         "assert geobyte.cli.main(['eval', 'e1*e2']) == 0\n"
         "unused = ['numpy', 'dataclasses', 'geobyte.hilbert', 'geobyte.cube',\n"
-        "          'geobyte.matrix2', 'geobyte.report']\n"
+        "          'geobyte.matrix2', 'geobyte.report', 'argparse']\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, f'{loaded} were imported'\n"
         "x = geobyte.to_matrix(geobyte.basis_element('e12'))\n"
@@ -504,27 +504,30 @@ def test_binder_matches_argparse(argv):
     # argparse's handling of "--" differs across Python versions; this
     # holds the binder to the argparse that is running
     parser = build_parser()
-    bound = _bind(parser, argv)
+    bound = _bind(argv)
     if bound is not None:
         args, extras = parser.parse_known_args(argv)
         assert (vars(bound), extras) == (vars(args), [])
     assert _captured(main, argv) == _captured(_reference_main, argv)
 
 
-def test_table_only_for_plain_string_arguments():
-    p = argparse.ArgumentParser()
-    plain = p.add_argument("x"), p.add_argument("--y", choices=("a", "b"), default="a", dest="why")
-    positional, options, required, defaults = _table(p, *plain)
-    assert positional is plain[0] and options == {"--y": plain[1]}
-    assert required == {"x"} and defaults == {"x": None, "why": "a", "func": None}
-    for odd in (
-        p.add_argument("--n", type=float),
-        p.add_argument("--many", nargs=2),
-        p.add_argument("--flag", action="store_true"),
-        p.add_argument("--each", action="append"),
-        p.add_argument("z"),  # a second positional
-    ):
-        assert _table(p, *plain, odd) is None
+def test_declared_table_builds_the_parser():
+    keywords = {"dest", "choices", "required", "default", "metavar", "help"}
+    declared = geobyte.cli._COMMANDS
+    for func, help_text, arguments in declared.values():
+        assert callable(func) and help_text
+        assert all(kw.keys() <= keywords for kw in arguments.values())
+        assert sum(not name.startswith("-") for name in arguments) <= 1
+    (sub,) = [a for a in build_parser()._actions if a.dest == "command"]
+    assert tuple(sub.choices) == tuple(declared)
+
+
+def test_fresh_help_matches_in_process(capsys, monkeypatch):
+    monkeypatch.setenv("COLUMNS", "80")  # argparse wraps help to the terminal width
+    want = run(capsys, "eval", "-h")
+    assert want[0] == 0 and want[1].startswith("usage: geobyte eval")
+    proc = _run_python("import sys, geobyte.cli\nsys.exit(geobyte.cli.main(['eval', '-h']))")
+    assert (proc.returncode, proc.stdout, proc.stderr) == want
 
 
 class _ArgparseReached(Exception):

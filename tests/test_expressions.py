@@ -368,3 +368,34 @@ def test_generator_corpus_matches_reference():
 @example("e1)")
 def test_parser_matches_reference(text):
     _assert_matches_reference(text)
+
+
+# -- evaluate of hand-built trees deeper than the recursion limit ----------
+
+_DEEP_LEVELS = 100_000
+_FUNC_METHODS = {
+    "rev": Multivector.reversion,
+    "bar": Multivector.grade_involution,
+    "conj": Multivector.clifford_conjugation,
+}
+_BINOP_METHODS = {"+": Multivector.__add__, "-": Multivector.__sub__, "*": Multivector.__mul__}
+
+
+def _bits(m):
+    return struct.pack("8d", *m._c)
+
+
+@pytest.mark.parametrize("kind", ["Neg", "Func", "BinOp"])
+def test_deep_trees_evaluate_without_recursion(kind):
+    tree, want = parse("1 + 2*e1 - 3*e12 + 4*e123"), Multivector([1, 2, 0, 0, -3, 0, 0, 4])
+    names, ops = ("e1", "e12", "e123", "e2", "e23"), ("-", "*", "+", "*")
+    for k in range(_DEEP_LEVELS):
+        if kind == "Neg":
+            tree, want = Neg(tree), -want
+        elif kind == "Func":
+            name = FUNC_NAMES[k % 3]
+            tree, want = Func(name, tree), _FUNC_METHODS[name](want)
+        else:  # right-deep: the new operand is the left one
+            name, op = names[k % 5], ops[k % 4]
+            tree, want = BinOp(op, Const(name), tree), _BINOP_METHODS[op](E[name], want)
+    assert _bits(evaluate(tree)) == _bits(want)

@@ -264,3 +264,23 @@ def test_subclass_fields_below_a_converting_constructor(cls, args, bad, monkeypa
 def test_subclass_of_multivector_stores_floats():
     rec = type("T", (Multivector,), {"__slots__": ("tag",)})([1] * 8, 0)
     assert rec._c == (1.0,) * 8 and all(type(x) is float for x in rec._c)
+
+
+# -- each rejection names the value that broke its rule --------------------
+
+
+@pytest.mark.parametrize(
+    "reject, error, named",
+    [
+        (lambda: quaternion_from_axis_angle(AxisAngle(1.0, 2.0, 3.0, 0.5)), DomainError, [(1.0, 2.0, 3.0), 14.0]),
+        (lambda: Quaternion(Multivector([0.5, 0, 0, 0, 0, 0, 0, 0])), DomainError, [0.5]),
+        (lambda: Multivector([1.0] * 3), ValueError, [3]),
+        (lambda: P1.approx_eq(N1, -0.25), DomainError, [-0.25]),
+        (lambda: ByteSignature(1, 0, -1), DomainError, [0]),
+    ],
+    ids=["axis", "quaternion", "coefficients", "tolerance", "signature"],
+)
+def test_rejection_names_the_offending_value(reject, error, named):
+    with pytest.raises(error) as info:
+        reject()
+    assert all(repr(value) in str(info.value) for value in named), str(info.value)
