@@ -18,8 +18,9 @@ command) goes to the top-level ``parse_args`` of the parser that
 and that parser built only then, and both routes print the same output
 and exit codes.
 
-The spinor and cube layers are imported inside the subcommands that use
-them, so ``eval`` and the other commands never load them.
+The transform, spinor and cube layers are imported inside the
+subcommands that use them, so ``eval`` and the other commands never load
+them; ``reflect --in`` declares its choices as a function for that reason.
 """
 
 from __future__ import annotations
@@ -35,7 +36,6 @@ from .clusters import blade_to_byte_signature, diag_projection, to_structure_coo
 from .errors import DomainError, ParseError
 from .expressions import evaluate_text, format_expression
 from .multivector import Multivector, require_finite
-from .transforms import REFLECTIONS, AxisAngle, quaternion_from_axis_angle, rotate
 
 _DIAG_KINDS = {"vdiag": "vector_diag", "qdiag": "quaternion_diag"}
 _BASIS_CHOICES = ("blade", "structure", *_DIAG_KINDS)
@@ -101,6 +101,8 @@ def _cmd_eval(args) -> int:
 
 
 def _cmd_rotate(args) -> int:
+    from .transforms import AxisAngle, quaternion_from_axis_angle, rotate
+
     axis = _parse_floats(args.axis, 3, "--axis")
     (theta,) = _parse_floats(args.theta, 1, "--theta")
     aa = AxisAngle(axis[0], axis[1], axis[2], theta)
@@ -112,7 +114,7 @@ def _cmd_rotate(args) -> int:
 
 def _cmd_reflect(args) -> int:
     target = evaluate_text(args.target)
-    _emit_multivector(REFLECTIONS[args.mirror](target), args.format)
+    _emit_multivector(_reflections()[args.mirror](target), args.format)
     return 0
 
 
@@ -147,22 +149,17 @@ def _cmd_gate(args) -> int:
             print(format_expression(result.value))
     else:  # hadamard
         terms = hadamard_regroup(spinor)
-        _finite((terms.coeff_plus.real, terms.coeff_plus.imag,
-                 terms.coeff_minus.real, terms.coeff_minus.imag))
+        plus, minus = ([z.real, z.imag] for z in (terms.coeff_plus, terms.coeff_minus))
+        _finite(plus + minus)
         if args.format == "json":
-            print(
-                json.dumps(
-                    {
-                        "coeff_plus": [terms.coeff_plus.real, terms.coeff_plus.imag],
-                        "coeff_minus": [terms.coeff_minus.real, terms.coeff_minus.imag],
-                        "plus_basis": terms.plus_basis.to_json(),
-                        "minus_basis": terms.minus_basis.to_json(),
-                    }
-                )
-            )
+            print(json.dumps({
+                "coeff_plus": plus, "coeff_minus": minus,
+                "plus_basis": terms.plus_basis.to_json(),
+                "minus_basis": terms.minus_basis.to_json(),
+            }))
         else:
-            print(f"coeff_plus  {terms.coeff_plus.real:g},{terms.coeff_plus.imag:g}")
-            print(f"coeff_minus {terms.coeff_minus.real:g},{terms.coeff_minus.imag:g}")
+            print(f"coeff_plus  {plus[0]:g},{plus[1]:g}")
+            print(f"coeff_minus {minus[0]:g},{minus[1]:g}")
             print(f"plus_basis  {format_expression(terms.plus_basis)}")
             print(f"minus_basis {format_expression(terms.minus_basis)}")
     return 0
@@ -182,6 +179,19 @@ def _cmd_signature(args) -> int:
     return 0
 
 
+@functools.cache  # so binding and running reflect import once, not per call
+def _reflections() -> dict:
+    from .transforms import REFLECTIONS
+
+    return REFLECTIONS
+
+
+def _choices(keywords: dict):
+    """An argument's choices (None: any value); a function returns them."""
+    choices = keywords.get("choices")
+    return choices() if callable(choices) else choices
+
+
 _FORMAT = {"--format": {"choices": ("text", "json"), "default": "text"}}
 
 #: each subcommand's handler, help text and arguments: the positional's
@@ -199,7 +209,7 @@ _COMMANDS = {
         **_FORMAT,
     }),
     "reflect": (_cmd_reflect, "reflect a target in a point, line or plane", {
-        "--in": {"dest": "mirror", "required": True, "choices": tuple(REFLECTIONS)},
+        "--in": {"dest": "mirror", "required": True, "choices": _reflections},
         "--target": {"required": True},
         **_FORMAT,
     }),
@@ -243,7 +253,7 @@ def build_parser():
         p = sub.add_parser(command, help=help_text)
         p.set_defaults(func=func)
         for name, keywords in arguments.items():
-            p.add_argument(name, **keywords)
+            p.add_argument(name, **{**keywords, "choices": _choices(keywords)})
     return parser
 
 
@@ -273,7 +283,7 @@ def _bind(argv: list) -> SimpleNamespace | None:
         keywords = arguments.get(name)
         if keywords is None or name == positional and name in values:
             return None
-        if "choices" in keywords and value not in keywords["choices"]:
+        if "choices" in keywords and value not in _choices(keywords):
             return None
         values[name] = value
     bound = {"command": argv[0], "func": func}

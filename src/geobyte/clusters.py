@@ -2,9 +2,11 @@
 elements, byte signatures, unit-cube coordinates and the two diagonal
 4D bases.
 
-Every table here is computed from the definitions (ordered paravector
-products), never transcribed from printed expansions; printed rows are
-asserted in the test suite instead.
+Every table here is computed from the definitions, never transcribed from
+printed expansions; printed rows are asserted in the test suite instead.
+One ordered product, :func:`_ordered`, builds the structure elements and
+the byte-signature blades.  One reader, :func:`_signed_unit`, reads every
+table read off a product, here and in transforms and hilbert.
 
 The changes of basis are fixed +-1 matrices, so each is generated from
 its matrix as a straight-line kernel (:func:`geobyte._kernels.compile_kernel`)
@@ -26,6 +28,7 @@ whose source text pins the summation order:
 
 from __future__ import annotations
 
+import itertools
 import math
 import operator
 from typing import Iterable, Literal, Sequence
@@ -81,24 +84,42 @@ def paravector(axis: int, polarity: Polarity) -> Paravector:
     return Paravector(axis, polarity, value)
 
 
-P1 = paravector(1, "positive").value
-P2 = paravector(2, "positive").value
-P3 = paravector(3, "positive").value
-N1 = paravector(1, "negative").value
-N2 = paravector(2, "negative").value
-N3 = paravector(3, "negative").value
-
-_PAIRS = ((P1, N1), (P2, N2), (P3, N3))
+_PAIRS = tuple((paravector(a, "positive").value, paravector(a, "negative").value) for a in (1, 2, 3))
+(P1, N1), (P2, N2), (P3, N3) = _PAIRS
+#: the factors of a byte signature's blade, (P_i + N_i, P_i - N_i) per axis
+_SIGNED_PAIRS = tuple((p + n, p - n) for p, n in _PAIRS)
 
 
-def _ordered_product(polarity: tuple[int, int, int]) -> Multivector:
-    """(P1|N1)(P2|N2)(P3|N3), one paravector per axis, in axis order."""
-    f1, f2, f3 = (p if s > 0 else n for (p, n), s in zip(_PAIRS, polarity))
+def _ordered(pairs, bits: tuple[int, int, int]) -> Multivector:
+    """One factor per axis, the first of its pair where its bit is +1 and
+    the second where it is -1, multiplied in axis order."""
+    f1, f2, f3 = (p if s > 0 else n for (p, n), s in zip(pairs, bits))
     return f1 * f2 * f3
 
 
+def _signed_unit(c: Sequence[float]) -> tuple[int, int]:
+    """(index, sign) of the single nonzero entry of ``c``, which must be
+    +1 or -1; :class:`AssertionError` for any other vector."""
+    hot = [i for i, x in enumerate(c) if x != 0.0]
+    if len(hot) != 1 or abs(c[hot[0]]) != 1.0:
+        raise AssertionError(f"not a signed unit vector: {tuple(c)!r}")
+    return hot[0], int(c[hot[0]])
+
+
+def _sign_rows(rows, what: str) -> tuple[tuple[int, ...], ...]:
+    """``rows`` as integers, checked to be Hadamard-type: every entry +-1,
+    and R @ R.T = n I for rows of length n."""
+    if any(abs(x) != 1.0 for row in rows for x in row):
+        raise AssertionError(f"{what} is not a +-1 sign pattern")
+    h = tuple(tuple(int(x) for x in row) for row in rows)
+    if any(sum(map(int.__mul__, r, t)) != len(r) * (i == j)
+           for i, r in enumerate(h) for j, t in enumerate(h)):
+        raise AssertionError(f"{what} is not Hadamard-type")
+    return h
+
+
 _STRUCTURE: dict[str, Multivector] = {
-    label: _ordered_product(polarity) for label, polarity in POLARITIES.items()
+    label: _ordered(_PAIRS, polarity) for label, polarity in POLARITIES.items()
 }
 
 
@@ -117,24 +138,9 @@ def structure_element(label: str) -> Multivector:
         raise DomainError(f"unknown structure element {label!r}") from None
 
 
-def _build_sign_matrix() -> tuple[tuple[int, ...], ...]:
-    """Rows = labels, columns = blades, entries = 8 * coefficient.
-
-    The eight rows form a Hadamard-type +-1 matrix with H @ H.T = 8 I,
-    which makes the structure-coordinate change of basis exactly
-    invertible in floating point.
-    """
-    rows = tuple(tuple(8.0 * x for x in _STRUCTURE[label]._c) for label in LABELS)
-    if any(abs(x) != 1.0 for row in rows for x in row):
-        raise AssertionError("structure elements are not +-1/8 sign patterns")
-    h = tuple(tuple(int(x) for x in row) for row in rows)
-    if any(sum(map(int.__mul__, h[i], h[j])) != 8 * (i == j) for i in range(8) for j in range(8)):
-        raise AssertionError("structure sign matrix is not Hadamard-type")
-    return h
-
-
-#: H[label][blade] = +-1 with structure_element(label) = (1/8) sum H[l][b] e_b
-SIGN_MATRIX = _build_sign_matrix()
+#: H[label][blade] = +-1 with structure_element(label) = (1/8) sum H[l][b] e_b;
+#: H @ H.T = 8 I makes the change of basis exactly invertible in floating point
+SIGN_MATRIX = _sign_rows([[8.0 * x for x in _STRUCTURE[l]._c] for l in LABELS], "sign matrix")
 
 #: pairing of a row's eight signed terms, outermost brackets first
 _PAIRING = (((0, 4), (2, 6)), ((1, 5), (3, 7)))
@@ -225,22 +231,16 @@ class ByteSignature(Record):
 
 def byte_signature_to_blade(s: ByteSignature) -> Multivector:
     """Evaluate the three-bit product (P1 +- N1)(P2 +- N2)(P3 +- N3)."""
-    signs = (s.s1, s.s2, s.s3)
-    factors = [p + n if sg > 0 else p - n for (p, n), sg in zip(_PAIRS, signs)]
-    return factors[0] * factors[1] * factors[2]
+    return _ordered(_SIGNED_PAIRS, (s.s1, s.s2, s.s3))
 
 
 def _build_signature_table() -> dict[str, ByteSignature]:
     table: dict[str, ByteSignature] = {}
-    for s1 in (1, -1):
-        for s2 in (1, -1):
-            for s3 in (1, -1):
-                sig = ByteSignature(s1, s2, s3)
-                c = byte_signature_to_blade(sig)._c
-                hot = [i for i, x in enumerate(c) if x != 0.0]
-                if len(hot) != 1 or c[hot[0]] != 1.0:
-                    raise AssertionError("byte state is not a unit blade")
-                table[BLADE_NAMES[hot[0]]] = sig
+    for bits in itertools.product((1, -1), repeat=3):
+        k, sign = _signed_unit(_ordered(_SIGNED_PAIRS, bits)._c)
+        if sign != 1:
+            raise AssertionError(f"byte state {bits} is a negated blade")
+        table[BLADE_NAMES[k]] = ByteSignature(*bits)
     return table
 
 
@@ -293,11 +293,7 @@ def _diag_kernel(kind: DiagKind):
     """
     basis = _DIAG_BASES[kind]
     live = [b for b in range(8) if any(e._c[b] != 0.0 for e in basis)]
-    g = [[4.0 * e._c[b] for b in live] for e in basis]
-    if any(abs(x) != 1.0 for row in g for x in row) or any(
-        sum(x * y for x, y in zip(g[i], g[j])) != 4.0 * (i == j) for i in range(4) for j in range(4)
-    ):
-        raise AssertionError("diagonal family is not Hadamard-type")
+    g = _sign_rows([[4.0 * e._c[b] for b in live] for e in basis], f"{kind} family")
     outputs = [
         "0.0" + "".join(f" {'-' if x < 0 else '+'} c{b}" for x, b in zip(row, live)) for row in g
     ]
@@ -310,11 +306,8 @@ _DIAG_KERNELS = {kind: _diag_kernel(kind) for kind in _DIAG_BASES}
 
 def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], float]:
     """Coefficients of the in-span part of ``m`` plus out-of-span residual norm."""
-    try:
-        kernel = _DIAG_KERNELS[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise DomainError(f"unknown diagonal basis {kind!r}") from None
-    d1, d2, d3, d4, rest2 = kernel(m._c)
+    diag_basis(kind)  # the check of ``kind``
+    d1, d2, d3, d4, rest2 = _DIAG_KERNELS[kind](m._c)
     return (d1, d2, d3, d4), math.sqrt(rest2)
 
 

@@ -6,12 +6,14 @@ pattern scans each token, told apart by the group it matched.  The parser
 builds its result through node builders chosen by the caller:
 :func:`parse` passes the AST classes and returns the tree, while
 :func:`evaluate_text` passes multivector operations and folds each value
-as its rule is reduced, so no tree is built on that path.  Both see the same tokens, in the same order,
-and raise the same :class:`ParseError` for the same text; the values agree
-bit for bit with :func:`evaluate` of the tree, whose shape and operand
-order they follow.  Tokens are scanned one ahead of the parse, as a
-recursive-descent parser would, so a bad character, a bad number and the
-nesting cap are reported in the order of the text.
+as its rule is reduced, so no tree is built on that path.  Both see the
+same tokens, in the same order, and raise the same :class:`ParseError`
+for the same text.  The fold follows the tree's shape and operand order,
+and it and :func:`evaluate` apply the same operations, from one table each
+for functions, operators and constants, so their values agree bit for
+bit.  Tokens are scanned one ahead of the parse, as a recursive-descent
+parser would, so a bad character, a bad number and the nesting cap are
+reported in the order of the text.
 
 Grammar (products need an explicit '*'; "e12" is a single token):
 
@@ -45,9 +47,9 @@ from typing import Union
 
 from ._kernels import BLADE_NAMES
 from ._record import Record
-from .clusters import LABELS, paravector, structure_element
+from .clusters import LABELS, N1, N2, N3, P1, P2, P3, structure_element
 from .errors import DomainError, ParseError
-from .multivector import Multivector
+from .multivector import E123 as _I, Multivector, _BASIS
 
 # -- AST ---------------------------------------------------------------
 
@@ -89,17 +91,24 @@ class BinOp(Record):
 Expr = Union[Literal, Imaginary, Const, Neg, Func, BinOp]
 _Node = Union[Expr, Multivector]  # what a parser's builders return
 
-FUNC_NAMES = ("rev", "bar", "conj")
+# -- operations and constants ----------------------------------------
 
-_CONSTANTS: dict[str, Multivector] = {}
-for _n in BLADE_NAMES:
-    _CONSTANTS[_n] = Multivector.basis(_n)
-for _axis in (1, 2, 3):
-    _CONSTANTS[f"P{_axis}"] = paravector(_axis, "positive").value
-    _CONSTANTS[f"N{_axis}"] = paravector(_axis, "negative").value
-for _label in LABELS:
-    _CONSTANTS[_label] = structure_element(_label)
+#: function name -> its operation
+_FUNC_IMPL = {
+    "rev": Multivector.reversion,
+    "bar": Multivector.grade_involution,
+    "conj": Multivector.clifford_conjugation,
+}
+#: binary operator -> its operation
+_BINOP_IMPL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
+#: constant name -> its value, read from the modules that derive them
+_CONSTANTS: dict[str, Multivector] = {
+    **dict(zip(BLADE_NAMES, _BASIS)),
+    "P1": P1, "N1": N1, "P2": P2, "N2": N2, "P3": P3, "N3": N3,
+    **{label: structure_element(label) for label in LABELS},
+}
 
+FUNC_NAMES = tuple(_FUNC_IMPL)
 CONST_NAMES = tuple(_CONSTANTS)
 
 #: deepest nesting of "(", function calls and unary "-" that parses
@@ -138,14 +147,15 @@ def _error(text: str, m, expected: frozenset[str], message: str = "unexpected {}
 def _parse(text: str, build: tuple) -> _Node:
     """The grammar above as one loop over the tokens.  ``build`` holds the
     named atoms (constants and i) as a dict, then the builders of a number
-    and a negation, the functions as a dict by name, and the binary "+",
-    "-" and "*"; a builder must not raise.  Each pass consumes one token
-    and scans the next.  A unary minus, "(" and a function call each push
-    the pending sum and product on ``frames``, so the nesting depth is its
-    length.  A completed operand pops its unary minuses and takes the "*"
-    before it at once; a pending "+" or "-" waits for the term after it,
-    and ")" pops its group."""
-    atoms, number, neg, funcs, add, sub, mul = build
+    and a negation, the functions as a dict by name, and the binary
+    operators as a dict by symbol; a builder must not raise.  Each pass
+    consumes one token and scans the next.  A unary minus, "(" and a
+    function call each push the pending sum and product on ``frames``, so
+    the nesting depth is its length.  A completed operand pops its unary
+    minuses and takes the "*" before it at once; a pending "+" or "-"
+    waits for the term after it, and ")" pops its group."""
+    atoms, number, neg, funcs, binops = build
+    add, sub, mul = binops["+"], binops["-"], binops["*"]
     tokens = _TOKEN.finditer(text)  # (\S) makes each match start where the last ended
     frames = []  # (closer, sum, its operator, product); a unary minus's closer is neg
     acc = acc_op = prod = closer = val = m = value = None
@@ -223,32 +233,18 @@ def _parse(text: str, build: tuple) -> _Node:
             raise _error(text, m, frozenset({"+", "-", "*", "end"}), "trailing input {1!r}")
 
 
+# the parser's builders of a tree, and of the value that tree evaluates to
 _AST_BUILD = (
-    dict(zip(CONST_NAMES, map(Const, CONST_NAMES)), i=Imaginary()), Literal, Neg,
-    {name: functools.partial(Func, name) for name in FUNC_NAMES},
-    functools.partial(BinOp, "+"), functools.partial(BinOp, "-"), functools.partial(BinOp, "*"),
+    {**{name: Const(name) for name in _CONSTANTS}, "i": Imaginary()}, Literal, Neg,
+    {name: functools.partial(Func, name) for name in _FUNC_IMPL},
+    {op: functools.partial(BinOp, op) for op in _BINOP_IMPL},
 )
+_VALUE_BUILD = ({"i": _I, **_CONSTANTS}, Multivector.scalar, operator.neg, _FUNC_IMPL, _BINOP_IMPL)
 
 
 def parse(text: str) -> Expr:
     """Parse an expression; raises :class:`ParseError` with byte offset."""
     return _parse(text, _AST_BUILD)
-
-
-_FUNC_IMPL = {
-    "rev": Multivector.reversion,
-    "bar": Multivector.grade_involution,
-    "conj": Multivector.clifford_conjugation,
-}
-
-_BINOP_IMPL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
-
-_I = Multivector.basis("e123")
-
-# the operations :func:`evaluate` applies to each node, as parser builders
-_VALUE_BUILD = (
-    {"i": _I, **_CONSTANTS}, Multivector.scalar, operator.neg, _FUNC_IMPL, *_BINOP_IMPL.values()
-)
 
 
 def evaluate(e: Expr) -> Multivector:
@@ -266,19 +262,20 @@ def evaluate(e: Expr) -> Multivector:
             todo += (node.left, node.right)
         elif isinstance(node, (Neg, Func)):
             todo.append(node.child)
+    atoms, number, neg, funcs, binops = _VALUE_BUILD
     values = []
     for node in reversed(nodes):  # post-order: left, right, then the node
         if isinstance(node, BinOp):
             right = values.pop()
-            values[-1] = _BINOP_IMPL[node.op](values[-1], right)
+            values[-1] = binops[node.op](values[-1], right)
         elif isinstance(node, Neg):
-            values[-1] = -values[-1]
+            values[-1] = neg(values[-1])
         elif isinstance(node, Func):
-            values[-1] = _FUNC_IMPL[node.name](values[-1])
+            values[-1] = funcs[node.name](values[-1])
         elif isinstance(node, Literal):
-            values.append(Multivector.scalar(node.value))
+            values.append(number(node.value))
         elif isinstance(node, Imaginary):
-            values.append(_I)
+            values.append(atoms["i"])
         elif isinstance(node, Const):
             values.append(_CONSTANTS[node.name])
         else:

@@ -30,9 +30,9 @@ from typing import Literal
 
 from ._kernels import BLADE_NAMES
 from ._record import Record
-from .clusters import N1, N3, P1, P3
+from .clusters import N1, N3, P1, P3, _signed_unit
 from .errors import DomainError
-from .multivector import ComplexScalar, Multivector, require_finite
+from .multivector import E1, E3, ComplexScalar, Multivector, require_finite
 from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
@@ -40,10 +40,8 @@ Variance = Literal["contravariant", "covariant"]
 
 _ABSORB_TOL = 1e-12
 
-_E1 = Multivector.basis("e1")
-_E3 = Multivector.basis("e3")
 #: the basis spinor of the positive contravariant ideal beside P3
-E1P3 = _E1 * P3
+E1P3 = E1 * P3
 #: the Hadamard regrouping's bases, P1*P3 = A + C and N1*P3 = B + Dbar
 _HADAMARD_BASES = (P1 * P3, N1 * P3)
 
@@ -130,9 +128,8 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
     """
     flip = 1 if _projector(ideal) is P3 else -1
-    c = (Multivector.basis(blade) * _E3)._c
-    (k,) = [i for i, x in enumerate(c) if x != 0.0]
-    return BLADE_NAMES[k], flip * int(c[k])
+    k, sign = _signed_unit((Multivector.basis(blade) * E3)._c)
+    return BLADE_NAMES[k], flip * sign
 
 
 def spinor_pair(q: Quaternion) -> GeometricQubit:
@@ -174,7 +171,7 @@ def reconstruct_vector(q: Quaternion) -> Multivector:
 
     P3 - N3 = e3 exactly, so this is the one sandwich Q*e3*~Q,
     :func:`geobyte.transforms.rotate` of e3."""
-    return rotate(_E3, q)
+    return rotate(E3, q)
 
 
 def spinor_components(s: Spinor) -> tuple[complex, complex]:
@@ -222,14 +219,15 @@ def hadamard_regroup(s: Spinor) -> HadamardTerms:
     return HadamardTerms(plus, minus, *_HADAMARD_BASES)
 
 
+_HADAMARD_VECTORS = tuple(
+    _spinor((2.0 ** -0.5 * v) * P3, "positive", "contravariant") for v in (E1 + E3, E1 - E3)
+)
+
+
 def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:
     """((e1+e3)/sqrt2 * P3, (e1-e3)/sqrt2 * P3): the quantum-style
-    Hadamard basis, normed before projection."""
-    s = 2.0 ** -0.5
-    return (
-        _spinor((s * (_E1 + _E3)) * P3, "positive", "contravariant"),
-        _spinor((s * (_E1 - _E3)) * P3, "positive", "contravariant"),
-    )
+    Hadamard basis, normed before projection, derived once at import."""
+    return _HADAMARD_VECTORS
 
 
 def not_gate(s: Spinor) -> Spinor:
@@ -237,4 +235,4 @@ def not_gate(s: Spinor) -> Spinor:
     ideal; involutive since e1*e1 = e0."""
     if s.variance != "contravariant":
         raise DomainError("not_gate() expects a contravariant spinor")
-    return _spinor(_E1 * s.value, s.ideal, s.variance)
+    return _spinor(E1 * s.value, s.ideal, s.variance)

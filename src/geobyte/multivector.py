@@ -166,11 +166,8 @@ class Multivector(Record):
         return all(abs(d) <= tol for d in _sub(self._c, other._c))
 
     def norm(self) -> float:
-        """Euclidean norm of the coefficient vector."""
-        a0, a1, a2, a3, a4, a5, a6, a7 = self._c
-        return math.sqrt(
-            a0 * a0 + a1 * a1 + a2 * a2 + a3 * a3 + a4 * a4 + a5 * a5 + a6 * a6 + a7 * a7
-        )
+        """Euclidean norm of the coefficients, by :func:`math.hypot`: no overflow or underflow."""
+        return math.hypot(*self._c)
 
     # -- grade structure ----------------------------------------------
 
@@ -284,5 +281,6 @@ def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multiv
     return z.embed() * m
 
 
-# convenience handles for the 8 unit blades
-E0, E1, E2, E3, E12, E23, E13, E123 = (Multivector.basis(n) for n in BLADE_NAMES)
+# the 8 unit blades in storage order, and a handle for each
+_BASIS = tuple(Multivector.basis(n) for n in BLADE_NAMES)
+E0, E1, E2, E3, E12, E23, E13, E123 = _BASIS

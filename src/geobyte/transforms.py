@@ -9,7 +9,10 @@ e1 -> e2 about the e3 axis through +pi/2 fixes the anticlockwise
 orientation.
 
 The public :class:`Quaternion` constructor checks that its value is even
-and, by default, unit.  :func:`quaternion_from_axis_angle` and negation
+and, by default, unit.  One predicate, :func:`_is_unit`, is the unit test
+of quaternions and mirrors, and one norm, :func:`_off_grade_norm`, decides
+evenness and a mirror's grade; both use :func:`math.hypot`, which neither
+overflows nor underflows.  :func:`quaternion_from_axis_angle` and negation
 build their result with :func:`_quaternion` (``Quaternion._trusted``),
 which trusts it:
 
@@ -35,9 +38,9 @@ import math
 from typing import Callable
 
 from ._record import Record, _set
-from .clusters import LABELS, structure_element, to_structure_coords
+from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
 from .errors import DomainError
-from .multivector import E0, Multivector, _wrap, require_finite
+from .multivector import BLADE_GRADES, E0, Multivector, _wrap, require_finite
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -81,9 +84,7 @@ class Quaternion(Record):
     __slots__ = ("_value",)
 
     def __init__(self, value: Multivector, require_unit: bool = True):
-        _, a1, a2, a3, _, _, _, a7 = value._c
-        # the norm of the odd blades, summed in storage order; NaN fails it
-        if not (math.sqrt(a1 * a1 + a2 * a2 + a3 * a3 + a7 * a7) <= _GRADE_TOL):
+        if not (_off_grade_norm(value, (0, 2)) <= _GRADE_TOL):
             raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
         if require_unit:
             if not _is_unit(value):
@@ -118,8 +119,14 @@ class Quaternion(Record):
 
 
 def _is_unit(value: Multivector) -> bool:
-    # NaN and inf fail this check too
-    return abs(value.norm() ** 2 - 1.0) <= _UNIT_TOL
+    n = value.norm()  # NaN and inf fail; n * n overflows to inf, where a power raises
+    return abs(n * n - 1.0) <= _UNIT_TOL
+
+
+def _off_grade_norm(value: Multivector, kept: tuple[int, ...]) -> float:
+    """Norm of the coefficients of ``value`` outside the grades ``kept``;
+    a NaN or inf among them fails any bound on it."""
+    return math.hypot(*[x for x, g in zip(value._c, BLADE_GRADES) if g not in kept])
 
 
 #: trusted constructor: its value is even and finite by construction, and
@@ -202,10 +209,9 @@ def reflect_point(m: Multivector) -> Multivector:
 
 
 def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
-    off = mirror - mirror.grade_project(grade)
-    if not (off.norm() <= _GRADE_TOL):
+    if not (_off_grade_norm(mirror, (grade,)) <= _GRADE_TOL):
         raise DomainError(f"{what} must be a pure grade-{grade} multivector")
-    if not (abs(mirror.norm() ** 2 - 1.0) <= _UNIT_TOL):
+    if not _is_unit(mirror):
         raise DomainError(f"{what} must be unit")
 
 
@@ -246,13 +252,8 @@ def _build_permutations() -> dict[str, tuple[tuple[str, tuple[str, int]], ...]]:
     for op, apply in REFLECTIONS.items():
         rows = []
         for label in LABELS:
-            coords = to_structure_coords(apply(structure_element(label))).values
-            hot = [i for i, v in enumerate(coords) if v != 0.0]
-            if len(hot) != 1 or abs(coords[hot[0]]) != 1.0:
-                raise AssertionError(
-                    f"reflection {op!r} does not permute the structure elements"
-                )
-            rows.append((label, (LABELS[hot[0]], int(coords[hot[0]]))))
+            k, sign = _signed_unit(to_structure_coords(apply(structure_element(label))).values)
+            rows.append((label, (LABELS[k], sign)))
         table[op] = tuple(rows)
     return table
 

@@ -269,7 +269,7 @@ def test_cli_runs_without_numpy():
         "import sys, geobyte, geobyte.cli\n"
         "assert geobyte.cli.main(['eval', 'e1*e2']) == 0\n"
         "unused = ['numpy', 'dataclasses', 'geobyte.hilbert', 'geobyte.cube',\n"
-        "          'geobyte.matrix2', 'geobyte.report', 'argparse']\n"
+        "          'geobyte.matrix2', 'geobyte.report', 'argparse', 'geobyte.transforms']\n"
         "loaded = [m for m in unused if m in sys.modules]\n"
         "assert not loaded, f'{loaded} were imported'\n"
         "x = geobyte.to_matrix(geobyte.basis_element('e12'))\n"

@@ -25,7 +25,7 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte._kernels import BLADE_NAMES
-from geobyte.clusters import LABELS, SIGN_MATRIX
+from geobyte.clusters import LABELS, SIGN_MATRIX, _signed_unit
 from geobyte.errors import DomainError, SpanError
 
 from conftest import random_multivector, signed_zero_coeffs
@@ -375,3 +375,12 @@ def test_paravector_axis_is_stored_as_int():
         assert type(p.axis) is int and p.axis == int(axis)
         assert p == paravector(int(axis), "negative")
         assert face_paravector(axis, "negative") == face_paravector(int(axis), "negative")
+
+
+def test_signed_unit_reader():
+    assert _signed_unit((0.0, -0.0, 0.0, -1.0, 0.0, 0.0, 0.0, 0.0)) == (3, -1)
+    assert _signed_unit((1.0,) + (0.0,) * 7) == (0, 1)
+    for bad in [(1.0, 1.0) + (0.0,) * 6, (0.0, 0.5) + (0.0,) * 6, (0.0, -0.5) + (0.0,) * 6,
+                (0.0,) * 8]:
+        with pytest.raises(AssertionError):
+            _signed_unit(bad)

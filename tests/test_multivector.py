@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geobyte import (
+    ComplexMatrix2,
     ComplexScalar,
     Multivector,
     approx_eq,
@@ -240,3 +241,36 @@ def test_product_bilinearity_left(a, b):
 def test_geometric_product_alias(rng):
     m, n = random_multivector(rng), random_multivector(rng)
     assert geometric_product(m, n) == m * n
+
+
+@pytest.mark.parametrize("x", [1e200, 1e-200, -1e200, 5e-324])
+def test_norm_neither_overflows_nor_underflows(x):
+    assert Multivector([x, 0, 0, 0, 0, 0, 0, 0]).norm() == abs(x)
+    assert Multivector([0, 0, 0, 0, 0, 0, x, x]).norm() == math.hypot(x, x)
+
+
+_M = Multivector([0.5, -1, 0.25, 2, 0, 1, -0.75, 3])
+_X = ComplexMatrix2([[1, 2j], [3, 4]])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [
+        lambda: _M + 1,
+        lambda: _M * "x",
+        lambda: "x" * _M,
+        lambda: _M / "x",
+        lambda: _M * 1j,
+        lambda: _X * "x",
+        lambda: "x" * _X,
+    ],
+    ids=["m + 1", "m * 'x'", "'x' * m", "m / 'x'", "m * 1j", "x * 'x'", "'x' * x"],
+)
+def test_foreign_operands_raise_type_error(op):
+    with pytest.raises(TypeError):
+        op()
+
+
+def test_foreign_operands_are_unequal():
+    assert (_M == 1) is False and (_X == 1) is False
+    assert (_M != 1) is True and (_X != 1) is True

@@ -400,3 +400,17 @@ def _axis_angles(draw):
 @given(_axis_angles())
 def test_axis_angle_quaternion_matches_the_product_route(aa):
     _assert_same_bits(aa)
+
+
+def test_unit_checks_quote_a_finite_norm_and_never_overflow():
+    with pytest.raises(DomainError) as err:
+        Quaternion(1e200 * E["e0"])
+    assert "1e+200" in str(err.value)
+    with pytest.raises(DomainError, match="got norm 1e-200"):
+        Quaternion(1e-200 * E["e0"])
+    with pytest.raises(DomainError, match="reflection axis must be unit"):
+        reflect_line(E["e1"], 1e200 * E["e1"])
+    with pytest.raises(DomainError, match="reflection plane must be unit"):
+        reflect_plane(E["e1"], 1e200 * E["e12"])
+    with pytest.raises(DomainError, match="pure grade-1"):
+        reflect_line(E["e1"], E["e1"] + 1e200 * E["e2"] + 1e200 * E["e12"])
