@@ -35,7 +35,7 @@ from typing import Iterable, Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
-from .errors import DomainError, SpanError
+from .errors import DomainError, SpanError, UnknownBladeError, lookup
 from .multivector import E0, Multivector, _wrap, require_finite
 
 Polarity = Literal["positive", "negative"]
@@ -58,6 +58,8 @@ POLARITIES: dict[str, tuple[int, int, int]] = {
 #: structure element labels in definition order
 LABELS: tuple[str, ...] = tuple(POLARITIES)
 LABEL_INDEX: dict[str, int] = {l: i for i, l in enumerate(LABELS)}
+#: polarity -> the sign of e_axis in its paravector
+_POLARITY_SIGNS: dict[str, float] = {"positive": 1.0, "negative": -1.0}
 
 
 class Paravector(Record):
@@ -77,9 +79,7 @@ def paravector(axis: int, polarity: Polarity) -> Paravector:
         raise DomainError(f"paravector axis must be 1..3, got {axis!r}") from None
     if axis not in (1, 2, 3):
         raise DomainError(f"paravector axis must be 1..3, got {axis}")
-    if polarity not in ("positive", "negative"):
-        raise DomainError(f"bad polarity {polarity!r}")
-    sign = 1.0 if polarity == "positive" else -1.0
+    sign = lookup(_POLARITY_SIGNS, polarity, "bad polarity")
     value = (E0 + sign * Multivector.basis(f"e{axis}")) * 0.5
     return Paravector(axis, polarity, value)
 
@@ -132,10 +132,7 @@ def structure_element(label: str) -> Multivector:
     where S_c has the first polarity of a and the last polarity of b
     (the middle one taken from a), as in POLARITIES.
     """
-    try:
-        return _STRUCTURE[label]
-    except KeyError:
-        raise DomainError(f"unknown structure element {label!r}") from None
+    return lookup(_STRUCTURE, label, "unknown structure element")
 
 
 #: H[label][blade] = +-1 with structure_element(label) = (1/8) sum H[l][b] e_b;
@@ -249,10 +246,7 @@ _BLADE_SIGNATURES = _build_signature_table()
 
 def blade_to_byte_signature(name: str) -> ByteSignature:
     """Inverse of :func:`byte_signature_to_blade`, by blade name."""
-    try:
-        return _BLADE_SIGNATURES[name]
-    except KeyError:
-        raise DomainError(f"unknown basis blade {name!r}") from None
+    return lookup(_BLADE_SIGNATURES, name, "unknown basis blade", UnknownBladeError)
 
 
 def face_paravector(axis: int, polarity: Polarity) -> StructureCoords:
@@ -277,15 +271,12 @@ def diag_basis(kind: DiagKind) -> tuple[Multivector, Multivector, Multivector, M
     """The (X - Xbar) family (odd, vector-like) or the (X + Xbar) family
     (even, quaternion-like), derived once at import from the structure
     elements."""
-    try:
-        return _DIAG_BASES[kind]
-    except (KeyError, TypeError):  # TypeError: an unhashable kind
-        raise DomainError(f"unknown diagonal basis {kind!r}") from None
+    return lookup(_DIAG_BASES, kind, "unknown diagonal basis")
 
 
 def _diag_kernel(kind: DiagKind):
-    """Straight-line (4 coefficients, out-of-span sum of squares) of a
-    multivector's 8-tuple over one diagonal family.
+    """Straight-line (4 coefficients, then the 4 out-of-span coefficients)
+    of a multivector's 8-tuple over one diagonal family.
 
     The family spans four blade positions; over them its 4x4 matrix
     G = 4 * coefficients is +-1 with G @ G.T = 4 I, so G itself is the
@@ -297,7 +288,7 @@ def _diag_kernel(kind: DiagKind):
     outputs = [
         "0.0" + "".join(f" {'-' if x < 0 else '+'} c{b}" for x, b in zip(row, live)) for row in g
     ]
-    outputs.append(" + ".join(f"c{b} * c{b}" for b in range(8) if b not in live))
+    outputs += [f"c{b}" for b in range(8) if b not in live]
     return compile_kernel(kind, ("c",), outputs)
 
 
@@ -305,10 +296,10 @@ _DIAG_KERNELS = {kind: _diag_kernel(kind) for kind in _DIAG_BASES}
 
 
 def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], float]:
-    """Coefficients of the in-span part of ``m`` plus out-of-span residual norm."""
-    diag_basis(kind)  # the check of ``kind``
-    d1, d2, d3, d4, rest2 = _DIAG_KERNELS[kind](m._c)
-    return (d1, d2, d3, d4), math.sqrt(rest2)
+    """Coefficients of the in-span part of ``m`` plus out-of-span residual
+    norm, by :func:`math.hypot` (no overflow or underflow)."""
+    d1, d2, d3, d4, *rest = lookup(_DIAG_KERNELS, kind, "unknown diagonal basis")(m._c)
+    return (d1, d2, d3, d4), math.hypot(*rest)
 
 
 def decompose_diag(m: Multivector, kind: DiagKind, tol: float = 1e-12) -> tuple[float, ...]:

@@ -10,7 +10,7 @@ byte-deterministic.
 from __future__ import annotations
 
 from .clusters import LABELS, POLARITIES, StructureCoords, to_structure_coords
-from .errors import DomainError
+from .errors import lookup
 from .multivector import Multivector
 
 #: label -> octant signs along (axis1, axis2, axis3)
@@ -100,11 +100,11 @@ def render_svg(coords: StructureCoords) -> str:
     return "\n".join(lines) + "\n"
 
 
+#: format name -> its renderer
+_RENDERERS = {"ascii": render_ascii, "svg": render_svg}
+
+
 def render_cube(m: Multivector, format: str = "ascii") -> str:
     """Draw the structure coordinates of ``m`` on the unit cube."""
     coords = to_structure_coords(m)
-    if format == "ascii":
-        return render_ascii(coords)
-    if format == "svg":
-        return render_svg(coords)
-    raise DomainError(f"unsupported cube format {format!r}")
+    return lookup(_RENDERERS, format, "unsupported cube format")(coords)

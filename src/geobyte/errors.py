@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and :func:`lookup`, the one
+check of a name against a finite domain: every name the API accepts (a
+blade, a structure label, an ideal, a diagonal family, ...) is a key of a
+table, and a name outside it is one typed error that quotes it."""
 
 
 class GeobyteError(Exception):
@@ -37,3 +40,12 @@ class ParseError(GeobyteError):
         super().__init__(f"{message} at offset {offset}")
         self.offset = offset
         self.expected = frozenset(expected)
+
+
+def lookup(table, key, what: str, error: type = DomainError):
+    """``table[key]``; ``error(f"{what} {key!r}")`` for a key that is
+    missing or cannot be hashed."""
+    try:
+        return table[key]
+    except (KeyError, TypeError):
+        raise error(f"{what} {key!r}") from None

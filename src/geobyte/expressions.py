@@ -48,7 +48,7 @@ from typing import Union
 from ._kernels import BLADE_NAMES
 from ._record import Record
 from .clusters import LABELS, N1, N2, N3, P1, P2, P3, structure_element
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, lookup
 from .multivector import E123 as _I, Multivector, _BASIS
 
 # -- AST ---------------------------------------------------------------
@@ -109,7 +109,6 @@ _CONSTANTS: dict[str, Multivector] = {
 }
 
 FUNC_NAMES = tuple(_FUNC_IMPL)
-CONST_NAMES = tuple(_CONSTANTS)
 
 #: deepest nesting of "(", function calls and unary "-" that parses
 MAX_DEPTH = 100
@@ -267,17 +266,17 @@ def evaluate(e: Expr) -> Multivector:
     for node in reversed(nodes):  # post-order: left, right, then the node
         if isinstance(node, BinOp):
             right = values.pop()
-            values[-1] = binops[node.op](values[-1], right)
+            values[-1] = lookup(binops, node.op, "unknown operator")(values[-1], right)
         elif isinstance(node, Neg):
             values[-1] = neg(values[-1])
         elif isinstance(node, Func):
-            values[-1] = funcs[node.name](values[-1])
+            values[-1] = lookup(funcs, node.name, "unknown function")(values[-1])
         elif isinstance(node, Literal):
             values.append(number(node.value))
         elif isinstance(node, Imaginary):
             values.append(atoms["i"])
         elif isinstance(node, Const):
-            values.append(_CONSTANTS[node.name])
+            values.append(lookup(_CONSTANTS, node.name, "unknown constant"))
         else:
             raise TypeError(f"not an expression node: {node!r}")
     return values[0]
@@ -295,8 +294,7 @@ def evaluate_text(text: str) -> Multivector:
 def format_expression(m: Multivector) -> str:
     """Render a multivector in re-parseable expression syntax."""
     parts: list[tuple[str, str]] = []
-    for name in BLADE_NAMES:
-        v = m[name]
+    for name, v in zip(BLADE_NAMES, m._c):
         if v == 0.0:
             continue
         sign = "-" if v < 0 else "+"

@@ -3,7 +3,10 @@ geometric qubits, and the NOT / Hadamard gate analogs.
 
 Spinors carry their ideal (positive/negative) and variance
 (contravariant/covariant) explicitly so that ill-matched products are
-rejected instead of silently producing junk.
+rejected instead of silently producing junk.  Each name is read from one
+table: ideal -> projector (:data:`_PROJECTORS`), variance -> the side on
+which its spinors absorb the projector (:data:`_ABSORB`), and side of a
+projection -> the variance it makes (:data:`_SIDE_VARIANCE`).
 
 The public :class:`Spinor` constructor checks that its value lies in the
 ideal (one more product and an ``approx_eq``).  Every spinor computed here
@@ -31,7 +34,7 @@ from typing import Literal
 from ._kernels import BLADE_NAMES
 from ._record import Record
 from .clusters import N1, N3, P1, P3, _signed_unit
-from .errors import DomainError
+from .errors import DomainError, lookup
 from .multivector import E1, E3, ComplexScalar, Multivector, require_finite
 from .transforms import Quaternion, rotate
 
@@ -46,12 +49,15 @@ E1P3 = E1 * P3
 _HADAMARD_BASES = (P1 * P3, N1 * P3)
 
 
-def _projector(ideal: Ideal) -> Multivector:
-    if ideal == "positive":
-        return P3
-    if ideal == "negative":
-        return N3
-    raise DomainError(f"unknown ideal {ideal!r}")
+#: ideal -> its projector
+_PROJECTORS: dict[str, Multivector] = {"positive": P3, "negative": N3}
+#: variance -> the product by which its spinors absorb the projector p
+_ABSORB = {
+    "contravariant": lambda v, p: v * p,  # on the right
+    "covariant": lambda v, p: p * v,  # on the left
+}
+#: side of a projection -> the variance of the spinor it makes
+_SIDE_VARIANCE = {"right": "contravariant", "left": "covariant"}
 
 
 class Spinor(Record):
@@ -65,13 +71,8 @@ class Spinor(Record):
     __slots__ = ("value", "ideal", "variance")
 
     def __post_init__(self):
-        p = _projector(self.ideal)
-        if self.variance == "contravariant":
-            absorbed = self.value * p
-        elif self.variance == "covariant":
-            absorbed = p * self.value
-        else:
-            raise DomainError(f"unknown variance {self.variance!r}")
+        p = lookup(_PROJECTORS, self.ideal, "unknown ideal")
+        absorbed = lookup(_ABSORB, self.variance, "unknown variance")(self.value, p)
         if not absorbed.approx_eq(self.value, _ABSORB_TOL):
             raise DomainError(
                 f"value does not lie in the {self.ideal} {self.variance} ideal"
@@ -108,13 +109,9 @@ class ParavectorState(Record):
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
     """One-sided multiplication by P3 or N3; ``m`` must be finite."""
-    p = _projector(ideal)
-    if side == "right":
-        value, variance = m * p, "contravariant"
-    elif side == "left":
-        value, variance = p * m, "covariant"
-    else:
-        raise DomainError(f"unknown side {side!r}")
+    p = lookup(_PROJECTORS, ideal, "unknown ideal")
+    variance = lookup(_SIDE_VARIANCE, side, "unknown side")
+    value = _ABSORB[variance](m, p)
     # finite exactly when m is: each coefficient is a sum of two halves
     require_finite(value._c, "projection")
     return _spinor(value, ideal, variance)
@@ -127,7 +124,7 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     blade * e3 = s * partner for a single basis blade, and e3 * P3 = P3,
     e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
     """
-    flip = 1 if _projector(ideal) is P3 else -1
+    flip = 1 if lookup(_PROJECTORS, ideal, "unknown ideal") is P3 else -1
     k, sign = _signed_unit((Multivector.basis(blade) * E3)._c)
     return BLADE_NAMES[k], flip * sign
 

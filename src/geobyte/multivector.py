@@ -20,7 +20,7 @@ from typing import Iterable, Union
 
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
-from .errors import DomainError, UnknownBladeError
+from .errors import DomainError, UnknownBladeError, lookup
 
 Scalar = Union[int, float]
 
@@ -28,9 +28,15 @@ Scalar = Union[int, float]
 BLADE_GRADES: tuple[int, ...] = tuple(len(t) for t in BLADE_TUPLES)
 
 
+def _index(name: str) -> int:
+    """Storage position of a blade name; :class:`UnknownBladeError` for
+    any other name."""
+    return lookup(NAME_INDEX, name, "unknown basis blade", UnknownBladeError)
+
+
 def blade_grade(name: str) -> int:
     """Grade of a named basis blade ('e12' -> 2)."""
-    return BLADE_GRADES[NAME_INDEX[name]]
+    return BLADE_GRADES[_index(name)]
 
 
 def _map_kernel(name: str, vectors: tuple[str, ...], blade_expr, scalars=()):
@@ -50,10 +56,11 @@ _neg = _signs_kernel("neg", (0, 1, 2, 3))
 _reversion = _signs_kernel("reversion", (2, 3))
 _grade_involution = _signs_kernel("grade_involution", (1, 3))
 _clifford_conjugation = _signs_kernel("clifford_conjugation", (1, 2))
-_grade_parts = tuple(
-    _map_kernel(f"grade{k}", ("a",), lambda i, k=k: f"a{i}" if BLADE_GRADES[i] == k else "0.0")
+#: grade -> the kernel keeping only that grade
+_GRADE_PARTS = {
+    k: _map_kernel(f"grade{k}", ("a",), lambda i, k=k: f"a{i}" if BLADE_GRADES[i] == k else "0.0")
     for k in range(4)
-)
+}
 
 
 def require_finite(values: Iterable[float], what: str) -> tuple[float, ...]:
@@ -92,10 +99,7 @@ class Multivector(Record):
     def basis(cls, name: str) -> "Multivector":
         """Unit blade by name, e.g. 'e13'; :class:`UnknownBladeError`
         for any other name."""
-        if name not in NAME_INDEX:
-            raise UnknownBladeError(f"unknown basis blade {name!r}")
-        i = NAME_INDEX[name]
-        return _wrap(_ZERO[:i] + (1.0,) + _ZERO[i + 1 :])
+        return _BASIS[_index(name)]
 
     # -- access -------------------------------------------------------
 
@@ -110,7 +114,7 @@ class Multivector(Record):
         return c
 
     def __getitem__(self, name: str) -> float:
-        return self._c[NAME_INDEX[name]]
+        return self._c[_index(name)]
 
     # -- arithmetic ---------------------------------------------------
 
@@ -173,9 +177,7 @@ class Multivector(Record):
 
     def grade_project(self, k: int) -> "Multivector":
         """Zero every coefficient whose blade grade differs from ``k``."""
-        if k not in (0, 1, 2, 3):
-            raise DomainError(f"grade must be 0..3, got {k}")
-        return _wrap(_grade_parts[k](self._c))
+        return _wrap(lookup(_GRADE_PARTS, k, "grade must be 0..3, got")(self._c))
 
     def reversion(self) -> "Multivector":
         """Reverse the order of vector factors: grades 2 and 3 negate."""
@@ -210,16 +212,18 @@ class Multivector(Record):
 _ZERO = (0.0,) * 8
 #: trusted constructor: its argument is already an 8-tuple of floats
 _wrap = Multivector._trusted
+#: the 8 unit blades in storage order, and a handle for each
+_BASIS = tuple(_wrap(_ZERO[:i] + (1.0,) + _ZERO[i + 1 :]) for i in range(8))
+E0, E1, E2, E3, E12, E23, E13, E123 = _BASIS
 
 
 INVOLUTION_KINDS = ("reversion", "grade_involution", "clifford_conjugation")
+_INVOLUTIONS = {kind: operator.methodcaller(kind) for kind in INVOLUTION_KINDS}
 
 
 def involution(kind: str, m: Multivector) -> Multivector:
     """Apply one of the three involutions by name."""
-    if kind not in INVOLUTION_KINDS:
-        raise DomainError(f"unknown involution {kind!r}")
-    return getattr(m, kind)()
+    return lookup(_INVOLUTIONS, kind, "unknown involution")(m)
 
 
 def basis_element(name: str) -> Multivector:
@@ -280,7 +284,3 @@ def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multiv
         z = ComplexScalar.from_complex(z)
     return z.embed() * m
 
-
-# the 8 unit blades in storage order, and a handle for each
-_BASIS = tuple(Multivector.basis(n) for n in BLADE_NAMES)
-E0, E1, E2, E3, E12, E23, E13, E123 = _BASIS

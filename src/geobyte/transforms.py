@@ -39,7 +39,7 @@ from typing import Callable
 
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
-from .errors import DomainError
+from .errors import DomainError, lookup
 from .multivector import BLADE_GRADES, E0, Multivector, _wrap, require_finite
 
 _UNIT_TOL = 1e-9
@@ -278,9 +278,7 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
     its normal; in each case the flipped axes are those the descriptor
     does not name.
     """
-    if op not in _PERMUTATIONS:
-        raise DomainError(f"unsupported reflection descriptor {op!r}")
-    return dict(_PERMUTATIONS[op])
+    return dict(lookup(_PERMUTATIONS, op, "unsupported reflection descriptor"))
 
 
 def rodrigues_matrix(aa: AxisAngle):

@@ -80,6 +80,13 @@ def test_eval_diagonal_bases(capsys):
     assert json.loads(out)["residual"] == pytest.approx(1.0)
 
 
+
+def test_eval_diagonal_residual_of_a_huge_finite_value(capsys):
+    code, out, err = run(capsys, "eval", "--basis", "qdiag", "1e200*e1")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[-1] == "residual 1e+200"
+
+
 def test_rotate(capsys):
     code, out, _ = run(
         capsys,

@@ -345,6 +345,21 @@ def test_diag_projection_against_numpy_product(rng):
             assert abs(residual - want) <= np.spacing(want), c
 
 
+
+@pytest.mark.parametrize(
+    "m, kind, residual",
+    [
+        (1e200 * E["e1"], "quaternion_diag", 1e200),
+        (1e-200 * E["e12"], "vector_diag", 1e-200),
+    ],
+    ids=["huge", "tiny"],
+)
+def test_diag_residual_neither_overflows_nor_underflows(m, kind, residual):
+    coeffs, got = diag_projection(m, kind)
+    assert coeffs == (0.0, 0.0, 0.0, 0.0)
+    assert got == residual
+
+
 def test_diag_bases_are_the_structure_sums():
     pairs = (("A", "Abar"), ("B", "Bbar"), ("C", "Cbar"), ("D", "Dbar"))
     s = structure_element
