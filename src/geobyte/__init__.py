@@ -34,7 +34,14 @@ _MODULES = {
         "to_structure_coords",
     ),
     "cube": ("render_cube",),
-    "errors": ("DomainError", "GeobyteError", "ParseError", "SpanError", "UnknownBladeError"),
+    "errors": (
+        "DomainError",
+        "GeobyteError",
+        "ParseError",
+        "SpanError",
+        "UnknownBladeError",
+        "UnknownLabelError",
+    ),
     "expressions": ("evaluate", "evaluate_text", "format_expression", "parse"),
     "hilbert": (
         "GeometricQubit",

@@ -35,8 +35,8 @@ from typing import Iterable, Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
-from .errors import DomainError, SpanError, UnknownBladeError, lookup
-from .multivector import E0, Multivector, _wrap, require_finite
+from .errors import DomainError, SpanError, UnknownBladeError, UnknownLabelError, lookup, read_json
+from .multivector import E0, Multivector, _floats, _wrap, require_finite
 
 Polarity = Literal["positive", "negative"]
 
@@ -170,14 +170,12 @@ class StructureCoords(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[float]):
-        # a string is iterable, but its characters are not coordinates
-        v = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
-        if len(v) != 8:
-            raise ValueError("StructureCoords needs 8 values")
-        _set(self, "values", v)
+        _set(self, "values", _floats(values, 8, "StructureCoords needs 8 values"))
 
     def __getitem__(self, label: str) -> float:
-        return self.values[LABEL_INDEX[label]]
+        """The coordinate of a label; :class:`UnknownLabelError` for any
+        other name."""
+        return self.values[lookup(LABEL_INDEX, label, "unknown structure label", UnknownLabelError)]
 
     def to_json(self) -> dict[str, float]:
         """Label -> coordinate; :class:`DomainError` if any is NaN or infinite."""
@@ -185,9 +183,8 @@ class StructureCoords(Record):
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "StructureCoords":
-        if set(obj) != set(LABELS):
-            raise ValueError("structure coords JSON must have exactly the 8 labels")
-        return cls(require_finite((obj[l] for l in LABELS), "structure coordinates"))
+        values = read_json(obj, LABELS, "structure coords")
+        return cls._trusted(require_finite(values, "structure coordinates"))
 
 
 def to_structure_coords(m: Multivector) -> StructureCoords:

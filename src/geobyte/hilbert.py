@@ -34,7 +34,7 @@ from typing import Literal
 from ._kernels import BLADE_NAMES
 from ._record import Record
 from .clusters import N1, N3, P1, P3, _signed_unit
-from .errors import DomainError, lookup
+from .errors import DomainError, lookup, read_json
 from .multivector import E1, E3, ComplexScalar, Multivector, require_finite
 from .transforms import Quaternion, rotate
 
@@ -87,11 +87,18 @@ class Spinor(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "Spinor":
-        return cls(Multivector.from_json(obj["value"]), obj["ideal"], obj["variance"])
+        value, ideal, variance = read_json(obj, ("value", "ideal", "variance"), "spinor")
+        return cls(Multivector.from_json(value), ideal, variance)
 
 
 #: trusted constructor: its value lies in the ideal by construction
 _spinor = Spinor._trusted
+
+
+def _expect(s: Spinor, variance: Variance, ideal: Ideal | None, what: str) -> None:
+    """:class:`DomainError` ``what`` unless ``s`` has ``variance`` and, if given, ``ideal``."""
+    if s.variance != variance or ideal is not None and s.ideal != ideal:
+        raise DomainError(f"{what}, got ({s.ideal!r}, {s.variance!r})")
 
 
 class GeometricQubit(Record):
@@ -139,27 +146,24 @@ def spinor_pair(q: Quaternion) -> GeometricQubit:
 
 def covariant(s: Spinor) -> Spinor:
     """Reversion; flips variance, keeps the ideal."""
-    if s.variance != "contravariant":
-        raise DomainError("covariant() expects a contravariant spinor")
+    _expect(s, "contravariant", None, "covariant() expects a contravariant spinor")
     return _spinor(s.value.reversion(), s.ideal, "covariant")
 
 
 def inner(sc: Spinor, s: Spinor) -> Multivector:
     """Covariant-then-contravariant product; P3 (or N3) for spinors of
     one unit quaternion."""
-    if sc.variance != "covariant" or s.variance != "contravariant":
-        raise DomainError("inner() wants (covariant, contravariant)")
-    if sc.ideal != s.ideal:
-        raise DomainError("inner() requires matching ideals")
+    _expect(sc, "covariant", None, "inner() wants (covariant, contravariant)")
+    _expect(s, "contravariant", sc.ideal,
+            "inner() wants (covariant, contravariant) and requires matching ideals")
     return sc.value * s.value
 
 
 def outer(s: Spinor, sc: Spinor) -> ParavectorState:
     """Contravariant-then-covariant product; the rotated paravector."""
-    if s.variance != "contravariant" or sc.variance != "covariant":
-        raise DomainError("outer() wants (contravariant, covariant)")
-    if s.ideal != sc.ideal:
-        raise DomainError("outer() requires matching ideals")
+    _expect(s, "contravariant", None, "outer() wants (contravariant, covariant)")
+    _expect(sc, "covariant", s.ideal,
+            "outer() wants (contravariant, covariant) and requires matching ideals")
     return ParavectorState(s.value * sc.value)
 
 
@@ -174,8 +178,8 @@ def reconstruct_vector(q: Quaternion) -> Multivector:
 def spinor_components(s: Spinor) -> tuple[complex, complex]:
     """Coefficients (alpha, beta) of a positive contravariant spinor over
     {P3, e1*P3}, with i realized as the pseudoscalar."""
-    if s.ideal != "positive" or s.variance != "contravariant":
-        raise DomainError("component extraction is defined on the positive contravariant ideal")
+    _expect(s, "contravariant", "positive",
+            "component extraction is defined on the positive contravariant ideal")
     v = s.value
     return complex(2 * v["e0"], 2 * v["e12"]), complex(2 * v["e1"], 2 * v["e2"])
 
@@ -230,6 +234,5 @@ def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:
 def not_gate(s: Spinor) -> Spinor:
     """Left multiplication by e1: swaps the two basis spinors of the
     ideal; involutive since e1*e1 = e0."""
-    if s.variance != "contravariant":
-        raise DomainError("not_gate() expects a contravariant spinor")
+    _expect(s, "contravariant", None, "not_gate() expects a contravariant spinor")
     return _spinor(E1 * s.value, s.ideal, s.variance)

@@ -20,6 +20,7 @@ import operator
 
 from ._kernels import BLADE_NAMES
 from ._record import Record, _set
+from .errors import DomainError, read_json
 from .multivector import Multivector, _wrap, require_finite
 
 
@@ -39,7 +40,7 @@ class ComplexMatrix2(Record):
             (a, b), (c, d) = (() if isinstance(row, (str, bytes)) else row for row in entries)
             z = tuple(map(complex, (a, b, c, d)))
         except (TypeError, ValueError):
-            raise ValueError("ComplexMatrix2 needs a 2x2 array") from None
+            raise DomainError(f"ComplexMatrix2 needs a 2x2 array, got {entries!r}") from None
         _set(self, "_z", z)
 
     def __reduce__(self):
@@ -114,10 +115,10 @@ class ComplexMatrix2(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "ComplexMatrix2":
-        if set(obj) != set(_ENTRY_KEYS) or any(len(obj[k]) != 2 for k in _ENTRY_KEYS):
-            raise ValueError("matrix JSON must have exactly m11, m12, m21, m22 as [re, im]")
-        e = [complex(*require_finite(obj[k], f"matrix entry {k}")) for k in _ENTRY_KEYS]
-        return cls([e[:2], e[2:]])
+        entries = zip(_ENTRY_KEYS, read_json(obj, _ENTRY_KEYS, "matrix"))
+        return cls._trusted(
+            tuple([complex(*require_finite(z, f"matrix entry {k}", 2)) for k, z in entries])
+        )
 
     def __repr__(self) -> str:
         return f"ComplexMatrix2({[list(self._z[:2]), list(self._z[2:])]!r})"

@@ -20,7 +20,7 @@ from typing import Iterable, Union
 
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
-from .errors import DomainError, UnknownBladeError, lookup
+from .errors import DomainError, UnknownBladeError, lookup, read_json
 
 Scalar = Union[int, float]
 
@@ -63,12 +63,29 @@ _GRADE_PARTS = {
 }
 
 
-def require_finite(values: Iterable[float], what: str) -> tuple[float, ...]:
-    """``values`` as a tuple of floats; :class:`DomainError` if any is NaN
-    or infinite."""
-    out = tuple(map(float, values))
+def require_finite(values: Iterable[float], what: str, n: int | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, ``n`` of them if given; :class:`DomainError`
+    naming them otherwise, or if any is NaN or infinite."""
+    try:
+        out = tuple(map(float, values))
+    except (TypeError, ValueError, OverflowError):
+        raise DomainError(f"{what} must be finite numbers, got {values!r}") from None
+    if n is not None and len(out) != n:
+        raise DomainError(f"{what} must be {n} numbers, got {values!r}")
     if not all(map(math.isfinite, out)):
         raise DomainError(f"{what} must be finite, got {out!r}")
+    return out
+
+
+def _floats(values: Iterable[float], n: int, what: str) -> tuple[float, ...]:
+    """``values`` as ``n`` floats, for a constructor; :class:`DomainError`
+    ``what`` naming what it got, and :class:`TypeError` for a wrong type."""
+    try:  # a string is iterable, but its characters are not numbers
+        out = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
+    except ValueError:
+        out = ()
+    if len(out) != n:
+        raise DomainError(f"{what}, got {f'{len(out)}: ' if out else ''}{values!r}")
     return out
 
 
@@ -79,11 +96,7 @@ class Multivector(Record):
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[float]):
-        # a string is iterable, but its characters are not coefficients
-        c = () if isinstance(coeffs, (str, bytes)) else tuple(map(float, coeffs))
-        if len(c) != 8:
-            raise ValueError(f"Multivector needs exactly 8 coefficients, got {len(c)}")
-        _set(self, "_c", c)
+        _set(self, "_c", _floats(coeffs, 8, "Multivector needs exactly 8 coefficients"))
 
     # -- constructors -------------------------------------------------
 
@@ -200,9 +213,8 @@ class Multivector(Record):
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "Multivector":
-        if set(obj) != set(BLADE_NAMES):
-            raise ValueError("multivector JSON must have exactly the 8 blade keys")
-        return cls(require_finite((obj[n] for n in BLADE_NAMES), "multivector JSON coefficients"))
+        values = read_json(obj, BLADE_NAMES, "multivector")
+        return cls._trusted(require_finite(values, "multivector JSON coefficients"))
 
     def __repr__(self) -> str:
         terms = [f"{x:g}*{n}" for x, n in zip(self._c, BLADE_NAMES) if x != 0]

@@ -39,7 +39,7 @@ from typing import Callable
 
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
-from .errors import DomainError, lookup
+from .errors import DomainError, lookup, read_json
 from .multivector import BLADE_GRADES, E0, Multivector, _wrap, require_finite
 
 _UNIT_TOL = 1e-9
@@ -59,9 +59,8 @@ class AxisAngle(Record):
 
     @classmethod
     def from_json(cls, obj: dict) -> "AxisAngle":
-        if set(obj) != {"axis", "theta"} or len(obj["axis"]) != 3:
-            raise ValueError('axis-angle JSON must have exactly "axis" (3 numbers) and "theta"')
-        return cls(*require_finite((*obj["axis"], obj["theta"]), "axis-angle"))
+        axis, theta = read_json(obj, ("axis", "theta"), "axis-angle")
+        return cls(*require_finite(axis, "axis-angle axis", 3), *require_finite([theta], "theta"))
 
 
 class CayleyKlein(Record):
@@ -84,8 +83,11 @@ class Quaternion(Record):
     __slots__ = ("_value",)
 
     def __init__(self, value: Multivector, require_unit: bool = True):
-        if not (_off_grade_norm(value, (0, 2)) <= _GRADE_TOL):
-            raise DomainError("quaternion must have zero grade-1 and grade-3 parts")
+        off = _off_grade_norm(value, (0, 2))
+        if not (off <= _GRADE_TOL):
+            raise DomainError(
+                f"quaternion must have zero grade-1 and grade-3 parts, got off-grade norm {off!r}"
+            )
         if require_unit:
             if not _is_unit(value):
                 raise DomainError(f"quaternion is not unit, got norm {value.norm()!r}")
@@ -209,10 +211,13 @@ def reflect_point(m: Multivector) -> Multivector:
 
 
 def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
-    if not (_off_grade_norm(mirror, (grade,)) <= _GRADE_TOL):
-        raise DomainError(f"{what} must be a pure grade-{grade} multivector")
+    off = _off_grade_norm(mirror, (grade,))
+    if not (off <= _GRADE_TOL):
+        raise DomainError(
+            f"{what} must be a pure grade-{grade} multivector, got off-grade norm {off!r}"
+        )
     if not _is_unit(mirror):
-        raise DomainError(f"{what} must be unit")
+        raise DomainError(f"{what} must be unit, got norm {mirror.norm()!r}")
 
 
 def reflect_line(m: Multivector, axis: Multivector) -> Multivector:

@@ -19,7 +19,7 @@ from geobyte import (
     project,
     to_matrix,
 )
-from geobyte.errors import DomainError
+from geobyte.errors import DomainError, ParseError, SpanError
 
 M = Multivector([1.5, -0.0, 3.0, -4.25, 0.0, 6.0, -7.0, 1e-300])
 
@@ -86,3 +86,16 @@ def test_dataclasses_holding_values_copy():
 def test_expression_trees_copy(how):
     tree = parse("rev(-1/2*(e1+i)) - A*bar(P3)")
     assert COPIES[how](tree) == tree
+
+
+@pytest.mark.parametrize("how", sorted(COPIES))
+def test_errors_with_fields_round_trip(how):
+    # an error raised in a worker process comes back pickled
+    span = COPIES[how](SpanError("outside the span (residual 1.5)", 1.5))
+    assert type(span) is SpanError and span.residual == 1.5
+    assert str(span) == "outside the span (residual 1.5)"
+    err = ParseError("unexpected character '?'", 3, {"token"})
+    err.source = "argv"  # an attribute set after construction travels too
+    back = COPIES[how](err)
+    assert type(back) is ParseError and str(back) == str(err) == "unexpected character '?' at offset 3"
+    assert (back.offset, back.expected, back.source) == (3, frozenset({"token"}), "argv")

@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from geobyte import (
+    LABELS,
     AxisAngle,
     ComplexMatrix2,
     Multivector,
@@ -73,17 +74,41 @@ def test_non_finite_is_rejected_both_ways(bad):
             type(value).from_json(payload)
 
 
+E1 = Multivector([0, 1, 0, 0, 0, 0, 0, 0])
+E1_JSON, SPINOR_JSON = E1.to_json(), project(E1, "positive", "right").to_json()
+ZERO = [0.0, 0.0]
+
+
 def test_wrong_keys_are_value_errors():
-    for cls, payload in (
-        (Multivector, {"e0": 1.0}),
-        (StructureCoords, {"A": 1.0}),
-        (AxisAngle, {"axis": [0.0, 0.0, 1.0]}),
-        (AxisAngle, {"axis": [0.0, 1.0], "theta": 0.5}),
-        (ComplexMatrix2, {"m11": [1.0, 0.0]}),
-        (ComplexMatrix2, {"m11": [1.0], "m12": [0, 0], "m21": [0, 0], "m22": [1, 0]}),
+    # class, payload, a key or value the message must quote
+    for cls, payload, named in (
+        (Multivector, {"e0": 1.0}, "e123"),
+        (StructureCoords, {"A": 1.0}, "Abar"),
+        (AxisAngle, {"axis": [0.0, 0.0, 1.0]}, "theta"),
+        (AxisAngle, {"axis": [0.0, 1.0], "theta": 0.5}, [0.0, 1.0]),
+        (ComplexMatrix2, {"m11": [1.0, 0.0]}, "m22"),
+        (ComplexMatrix2, {"m11": [1.0], "m12": [0, 0], "m21": [0, 0], "m22": [1, 0]}, [1.0]),
+        (Spinor, {"value": E1_JSON}, "ideal"),
+        (Spinor, {**SPINOR_JSON, "extra": 1}, "extra"),
+        (Spinor, {**SPINOR_JSON, "value": [0.0] * 8}, [0.0] * 8),
+        (Spinor, {**SPINOR_JSON, "ideal": "neutral"}, "neutral"),
+        (Multivector, None, None),
+        (StructureCoords, [1.0] * 8, [1.0] * 8),
+        (Multivector, {**E1_JSON, "e4": 0.0}, "e4"),
+        (Multivector, {**E1_JSON, "e0": "x"}, "x"),
+        (Multivector, {**E1_JSON, "e0": None}, None),
+        (Multivector, {**E1_JSON, "e0": 10**400}, 10**400),
+        (StructureCoords, {**dict.fromkeys(LABELS, 0.0), "B": [1]}, [1]),
+        (AxisAngle, {"axis": 5, "theta": 1}, 5),
+        (AxisAngle, {"axis": [0.0, 0.0, 1.0], "theta": "x"}, "x"),
+        (ComplexMatrix2, {"m11": 5, "m12": ZERO, "m21": ZERO, "m22": ZERO}, 5),
+        (ComplexMatrix2, {"m11": ZERO, "m12": [0, 0, 0], "m21": ZERO, "m22": ZERO}, [0, 0, 0]),
+        (ComplexMatrix2, {"m11": ZERO, "m12": ZERO, "m21": ZERO, "m22": [None, 0]}, None),
     ):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError) as info:
             cls.from_json(payload)
+        assert type(info.value) is DomainError, (cls, payload)
+        assert repr(named) in str(info.value), str(info.value)
 
 
 def test_structure_coords_of_overflowing_value_are_not_serialized():

@@ -24,8 +24,9 @@ from geobyte import (
     render_cube,
     structure_element,
     structure_permutation,
+    to_structure_coords,
 )
-from geobyte.errors import DomainError, UnknownBladeError, lookup
+from geobyte.errors import DomainError, UnknownBladeError, UnknownLabelError, lookup
 from geobyte.expressions import BinOp, Const, Func, Literal, evaluate
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "geobyte"
@@ -98,6 +99,17 @@ def test_evaluate_of_a_hand_built_unknown_node_is_a_domain_error(tree, name):
     assert str(info.value).endswith(repr(name))
 
 
+@pytest.mark.parametrize("label", ["E", []], ids=["unknown", "unhashable"])
+def test_structure_coords_label_is_a_typed_key_error(label):
+    coords = to_structure_coords(E1)
+    assert coords["A"] == 1.0
+    with pytest.raises(UnknownLabelError) as info:
+        coords[label]
+    assert isinstance(info.value, DomainError) and isinstance(info.value, KeyError)
+    assert str(info.value) == f"unknown structure label {label!r}"
+    assert info.value.__context__ is None or info.value.__suppress_context__
+
+
 def test_grade_project_reads_an_integral_float_as_its_grade():
     m = Multivector([1.5, -2.0, 3.25, 0.1, -4.0, 5.5, 6.0, -7.75])
     for k in range(4):
@@ -159,3 +171,44 @@ def test_guard_sees_a_hand_written_name_check(tmp_path):
         "    raise DomainError(f'unsupported format {k!r}')\n"
     )
     assert len(_name_check_violations(src)) == 3
+
+
+# -- guard: outside input is checked by the package's own rules ------------
+
+
+def _boundary_violations(path: Path) -> list[str]:
+    """``raise ValueError(...)`` statements, and ``from_json`` methods that
+    do not call :func:`geobyte.errors.read_json`, in ``path``."""
+    found = []
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Raise) and node.exc is not None:
+            exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+            if isinstance(exc, ast.Name) and exc.id == "ValueError":
+                found.append(f"{path.name}:{node.lineno}: raise ValueError")
+        elif isinstance(node, ast.FunctionDef) and node.name == "from_json":
+            called = {c.func.id for c in ast.walk(node)
+                      if isinstance(c, ast.Call) and isinstance(c.func, ast.Name)}
+            if "read_json" not in called:
+                found.append(f"{path.name}:{node.lineno}: from_json without read_json")
+    return found
+
+
+def test_outside_input_goes_through_the_package_rules():
+    paths = sorted(SRC.glob("*.py"))
+    assert sum("def from_json" in path.read_text() for path in paths) == 5
+    assert [v for path in paths for v in _boundary_violations(path)] == []
+
+
+def test_guard_sees_a_raised_value_error_and_a_hand_read_json(tmp_path):
+    src = tmp_path / "module.py"
+    src.write_text(
+        "class C:\n"
+        "    @classmethod\n"
+        "    def from_json(cls, obj):\n"
+        "        if set(obj) != {'a'}:\n"
+        "            raise ValueError('needs a')\n"
+        "        return cls(obj['a'])\n"
+        "def f():\n"
+        "    raise ValueError\n"
+    )
+    assert len(_boundary_violations(src)) == 3

@@ -22,8 +22,13 @@ from geobyte import (
     Quaternion,
     Spinor,
     StructureCoords,
+    covariant,
     from_structure_coords,
+    inner,
     quaternion_from_axis_angle,
+    reflect_line,
+    reflect_plane,
+    spinor_components,
 )
 from geobyte.clusters import N1, N3, P1, P3
 from geobyte.errors import DomainError
@@ -277,8 +282,16 @@ def test_subclass_of_multivector_stores_floats():
         (lambda: Multivector([1.0] * 3), ValueError, [3]),
         (lambda: P1.approx_eq(N1, -0.25), DomainError, [-0.25]),
         (lambda: ByteSignature(1, 0, -1), DomainError, [0]),
+        (lambda: Quaternion(Multivector([1, 0, 0, 0.25, 0, 0, 0, 0])), DomainError, [0.25]),
+        (lambda: reflect_line(P1, Multivector([0, 2, 0, 0, 0, 0, 0, 0])), DomainError, [2.0]),
+        (lambda: reflect_plane(P1, Multivector([0, 0.5, 0, 0, 1, 0, 0, 0])), DomainError, [0.5]),
+        (lambda: StructureCoords(range(7)), DomainError, [7]),
+        (lambda: covariant(covariant(_POS)), DomainError, ["positive", "covariant"]),
+        (lambda: inner(covariant(_POS), _NEG), DomainError, ["negative", "contravariant"]),
+        (lambda: spinor_components(_NEG), DomainError, ["negative", "contravariant"]),
     ],
-    ids=["axis", "quaternion", "coefficients", "tolerance", "signature"],
+    ids=["axis", "quaternion", "coefficients", "tolerance", "signature", "quaternion evenness",
+         "mirror unit", "mirror grade", "structure coords", "covariant", "inner", "components"],
 )
 def test_rejection_names_the_offending_value(reject, error, named):
     with pytest.raises(error) as info:
