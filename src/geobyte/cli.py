@@ -33,9 +33,9 @@ from types import SimpleNamespace
 
 from ._kernels import BLADE_NAMES
 from .clusters import blade_to_byte_signature, diag_projection, to_structure_coords
-from .errors import DomainError, ParseError
+from .errors import DomainError, ParseError, require_finite
 from .expressions import evaluate_text, format_expression
-from .multivector import Multivector, require_finite
+from .multivector import Multivector
 
 _DIAG_KINDS = {"vdiag": "vector_diag", "qdiag": "quaternion_diag"}
 _BASIS_CHOICES = ("blade", "structure", *_DIAG_KINDS)
@@ -65,7 +65,7 @@ def _parse_complex(text: str, what: str) -> complex:
 
 def _finite(values) -> None:
     """:class:`DomainError` unless every value to be printed is finite."""
-    require_finite(values, "result")
+    require_finite(values, "result must be finite")
 
 
 def _emit_multivector(m: Multivector, fmt: str) -> None:
@@ -168,9 +168,9 @@ def _cmd_gate(args) -> int:
 def _cmd_cube(args) -> int:
     from .cube import render_cube
 
-    target = evaluate_text(args.target)
-    _finite(to_structure_coords(target).values)
-    sys.stdout.write(render_cube(target, args.format))
+    coords = to_structure_coords(evaluate_text(args.target))
+    _finite(coords.values)
+    sys.stdout.write(render_cube(coords, args.format))
     return 0
 
 

@@ -35,8 +35,11 @@ from typing import Iterable, Literal, Sequence
 
 from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
-from .errors import DomainError, SpanError, UnknownBladeError, UnknownLabelError, lookup, read_json
-from .multivector import E0, Multivector, _floats, _wrap, require_finite
+from .errors import (
+    DomainError, SpanError, UnknownBladeError, UnknownLabelError, lookup, read_json, read_numbers,
+    reals, require_finite,
+)
+from .multivector import E0, Multivector, _wrap
 
 Polarity = Literal["positive", "negative"]
 
@@ -170,7 +173,7 @@ class StructureCoords(Record):
     __slots__ = ("values",)
 
     def __init__(self, values: Iterable[float]):
-        _set(self, "values", _floats(values, 8, "StructureCoords needs 8 values"))
+        _set(self, "values", reals(values, "StructureCoords needs 8 values", 8))
 
     def __getitem__(self, label: str) -> float:
         """The coordinate of a label; :class:`UnknownLabelError` for any
@@ -179,12 +182,13 @@ class StructureCoords(Record):
 
     def to_json(self) -> dict[str, float]:
         """Label -> coordinate; :class:`DomainError` if any is NaN or infinite."""
-        return dict(zip(LABELS, require_finite(self.values, "structure coordinates")))
+        values = require_finite(self.values, "structure coordinates must be finite")
+        return dict(zip(LABELS, values))
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "StructureCoords":
         values = read_json(obj, LABELS, "structure coords")
-        return cls._trusted(require_finite(values, "structure coordinates"))
+        return cls._trusted(read_numbers(values, "structure coordinates must be finite numbers"))
 
 
 def to_structure_coords(m: Multivector) -> StructureCoords:

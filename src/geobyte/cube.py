@@ -104,7 +104,8 @@ def render_svg(coords: StructureCoords) -> str:
 _RENDERERS = {"ascii": render_ascii, "svg": render_svg}
 
 
-def render_cube(m: Multivector, format: str = "ascii") -> str:
-    """Draw the structure coordinates of ``m`` on the unit cube."""
-    coords = to_structure_coords(m)
+def render_cube(m: Multivector | StructureCoords, format: str = "ascii") -> str:
+    """Draw the structure coordinates of ``m``, or ``m`` if it is
+    structure coordinates, on the unit cube."""
+    coords = m if isinstance(m, StructureCoords) else to_structure_coords(m)
     return lookup(_RENDERERS, format, "unsupported cube format")(coords)

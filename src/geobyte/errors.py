@@ -1,7 +1,14 @@
-"""Exception types shared across the package, and the two checks of
-outside input: :func:`lookup`, of a name against a finite domain (a blade,
-a structure label, an ideal, a diagonal family, ...: each is a key of a
-table), and :func:`read_json`, of a JSON object's keys."""
+"""Exception types shared across the package, and its three checks of
+outside input: :func:`lookup`, of a name against a finite domain (each is a
+key of a table); :func:`read_json`, of a JSON object's keys, with
+:func:`read_numbers` for its numbers; and the number readers :func:`real`,
+:func:`reals` (with :func:`require_finite` on top) and :func:`complexes`.
+A number is what ``float`` (``complex``) can represent: other text and an
+int too large for a double are a :class:`DomainError` that names them, a
+value of the wrong type a :class:`TypeError`.  What a reader returns is
+not converted again."""
+
+import math
 
 
 class GeobyteError(Exception):
@@ -58,13 +65,22 @@ class ParseError(GeobyteError):
         return type(self), (message, self.offset, self.expected), vars(self)
 
 
+def _shown(value) -> str:
+    """``repr(value)``; its type for an int too long for ``repr``, which
+    refuses to print more digits than the interpreter's limit."""
+    try:
+        return repr(value)
+    except ValueError:
+        return f"<{type(value).__name__} too long to print>"
+
+
 def lookup(table, key, what: str, error: type = DomainError):
     """``table[key]``; ``error(f"{what} {key!r}")`` for a key that is
     missing or cannot be hashed."""
     try:
         return table[key]
     except (KeyError, TypeError):
-        raise error(f"{what} {key!r}") from None
+        raise error(f"{what} {_shown(key)}") from None
 
 
 def read_json(obj, keys: tuple[str, ...], what: str) -> list:
@@ -76,3 +92,58 @@ def read_json(obj, keys: tuple[str, ...], what: str) -> list:
         missing, extra = [k for k in keys if k not in obj], [k for k in obj if k not in keys]
         raise DomainError(f"{what} JSON keys must be {keys}; missing {missing}, extra {extra}")
     return [obj[k] for k in keys]
+
+
+def read_numbers(values, what: str, n: int | None = None) -> tuple[float, ...]:
+    """The list ``values`` of a JSON object as :func:`require_finite` reads
+    it, after a :class:`DomainError` ``what`` for a str, bytes or bool in
+    it, which ``float`` would read as a number."""
+    if isinstance(values, (list, tuple)) and not any(
+        isinstance(v, (str, bytes, bool)) for v in values
+    ):
+        return require_finite(values, what, n)
+    raise DomainError(f"{what}, got {_shown(values)}")
+
+
+def real(x, what: str) -> float:
+    """``float(x)``, the reader of one real number: :class:`DomainError`
+    ``what`` naming ``x`` if ``float`` cannot represent it, and
+    :class:`TypeError` for a value of the wrong type.  NaN and inf pass."""
+    try:
+        return float(x)
+    except (ValueError, OverflowError):
+        raise DomainError(f"{what}, got {_shown(x)}") from None
+
+
+def reals(values, what: str, n: int | None = None) -> tuple[float, ...]:
+    """``values`` as a tuple of floats, ``n`` of them if given, by the rule
+    of :func:`real`; :class:`DomainError` ``what`` naming them, and their
+    count if it is wrong."""
+    try:  # a string is iterable, but its characters are not numbers
+        out = None if isinstance(values, (str, bytes)) else tuple(map(float, values))
+    except (ValueError, OverflowError):
+        out = None
+    if out is None or n is not None and len(out) != n:
+        count = f"{len(out)}: " if out else ""
+        raise DomainError(f"{what}, got {count}{_shown(values)}")
+    return out
+
+
+def require_finite(values, what: str, n: int | None = None) -> tuple[float, ...]:
+    """:func:`reals` of ``values``, each finite: :class:`DomainError`
+    ``what`` naming them otherwise, for a value of the wrong type too."""
+    try:
+        out = reals(values, what, n)
+    except TypeError:
+        raise DomainError(f"{what}, got {_shown(values)}") from None
+    if not all(map(math.isfinite, out)):
+        raise DomainError(f"{what}, got {out!r}")
+    return out
+
+
+def complexes(values, what: str) -> tuple[complex, ...]:
+    """``values`` as a tuple of complex numbers, by the rule of :func:`real`."""
+    try:
+        return tuple(map(complex, values))
+    except (ValueError, OverflowError):
+        raise DomainError(f"{what}, got {_shown(values)}") from None

@@ -34,8 +34,8 @@ from typing import Literal
 from ._kernels import BLADE_NAMES
 from ._record import Record
 from .clusters import N1, N3, P1, P3, _signed_unit
-from .errors import DomainError, lookup, read_json
-from .multivector import E1, E3, ComplexScalar, Multivector, require_finite
+from .errors import DomainError, complexes, lookup, read_json, require_finite
+from .multivector import E1, E3, ComplexScalar, Multivector
 from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
@@ -74,8 +74,10 @@ class Spinor(Record):
         p = lookup(_PROJECTORS, self.ideal, "unknown ideal")
         absorbed = lookup(_ABSORB, self.variance, "unknown variance")(self.value, p)
         if not absorbed.approx_eq(self.value, _ABSORB_TOL):
+            off = (absorbed - self.value).norm()
             raise DomainError(
-                f"value does not lie in the {self.ideal} {self.variance} ideal"
+                f"value does not lie in the {self.ideal} {self.variance} ideal, "
+                f"got off-ideal norm {off!r}"
             )
 
     def to_json(self) -> dict:
@@ -120,7 +122,7 @@ def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spi
     variance = lookup(_SIDE_VARIANCE, side, "unknown side")
     value = _ABSORB[variance](m, p)
     # finite exactly when m is: each coefficient is a sum of two halves
-    require_finite(value._c, "projection")
+    require_finite(value._c, "projection must be finite")
     return _spinor(value, ideal, variance)
 
 
@@ -187,11 +189,12 @@ def spinor_components(s: Spinor) -> tuple[complex, complex]:
 def spinor_from_components(alpha: complex, beta: complex) -> Spinor:
     """alpha*P3 + beta*(e1*P3) in the positive contravariant ideal; both
     components must be finite."""
+    alpha, beta = complexes((alpha, beta), "spinor components must be numbers")
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise DomainError(f"spinor components must be finite, got {alpha!r}, {beta!r}")
     value = (
-        ComplexScalar.from_complex(alpha).embed() * P3
-        + ComplexScalar.from_complex(beta).embed() * E1P3
+        ComplexScalar._trusted(alpha.real, alpha.imag).embed() * P3
+        + ComplexScalar._trusted(beta.real, beta.imag).embed() * E1P3
     )
     return _spinor(value, "positive", "contravariant")
 

@@ -20,8 +20,8 @@ import operator
 
 from ._kernels import BLADE_NAMES
 from ._record import Record, _set
-from .errors import DomainError, read_json
-from .multivector import Multivector, _wrap, require_finite
+from .errors import DomainError, _shown, complexes, read_json, read_numbers, require_finite
+from .multivector import Multivector, _wrap
 
 
 class ComplexMatrix2(Record):
@@ -35,12 +35,13 @@ class ComplexMatrix2(Record):
     def __init__(self, entries):
         if hasattr(entries, "tolist"):  # a numpy array, as nested lists
             entries = entries.tolist()
+        what = "ComplexMatrix2 needs a 2x2 array"
         try:
             # a string is iterable, but its characters are not a row
             (a, b), (c, d) = (() if isinstance(row, (str, bytes)) else row for row in entries)
-            z = tuple(map(complex, (a, b, c, d)))
-        except (TypeError, ValueError):
-            raise DomainError(f"ComplexMatrix2 needs a 2x2 array, got {entries!r}") from None
+            z = complexes((a, b, c, d), what)
+        except (TypeError, ValueError):  # complexes reads; its DomainError is re-labelled here
+            raise DomainError(f"{what}, got {_shown(entries)}") from None
         _set(self, "_z", z)
 
     def __reduce__(self):
@@ -109,16 +110,17 @@ class ComplexMatrix2(Record):
         """Entry name -> [re, im]; :class:`DomainError` if any part is NaN
         or infinite."""
         return {
-            key: list(require_finite((z.real, z.imag), f"matrix entry {key}"))
+            key: list(require_finite((z.real, z.imag), f"matrix entry {key} must be finite"))
             for key, z in zip(_ENTRY_KEYS, self._z)
         }
 
     @classmethod
     def from_json(cls, obj: dict) -> "ComplexMatrix2":
         entries = zip(_ENTRY_KEYS, read_json(obj, _ENTRY_KEYS, "matrix"))
-        return cls._trusted(
-            tuple([complex(*require_finite(z, f"matrix entry {k}", 2)) for k, z in entries])
-        )
+        return cls._trusted(tuple([
+            complex(*read_numbers(z, f"matrix entry {k} must be 2 finite numbers", 2))
+            for k, z in entries
+        ]))
 
     def __repr__(self) -> str:
         return f"ComplexMatrix2({[list(self._z[:2]), list(self._z[2:])]!r})"

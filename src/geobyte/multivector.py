@@ -5,10 +5,13 @@ floats.  Every structural constant of the algebra (signs, 1/2, 1/4, 1/8)
 is exactly representable, so identities not involving trigonometry hold
 with exact float equality.
 
-The public constructor checks and converts what it is given; every result
-computed here is built by :func:`_wrap` (``Multivector._trusted``), which
-trusts its 8-tuple of floats.  Products and the coefficient-wise maps are
-straight-line kernels generated by :func:`geobyte._kernels.compile_kernel`.
+The public constructor, :meth:`Multivector.scalar`, the scalar operands of
+``*`` and ``/`` and the weights of :func:`linear_combine` convert what they
+are given once, by the number readers of :mod:`geobyte.errors`; every
+result computed here is built by :func:`_wrap` (``Multivector._trusted``),
+which trusts its 8-tuple of floats.  Products and the coefficient-wise
+maps are straight-line kernels generated by
+:func:`geobyte._kernels.compile_kernel`.
 numpy is imported only when :attr:`Multivector.coeffs` is read.
 """
 
@@ -20,7 +23,9 @@ from typing import Iterable, Union
 
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
-from .errors import DomainError, UnknownBladeError, lookup, read_json
+from .errors import (
+    DomainError, UnknownBladeError, lookup, read_json, read_numbers, real, reals, require_finite
+)
 
 Scalar = Union[int, float]
 
@@ -63,32 +68,6 @@ _GRADE_PARTS = {
 }
 
 
-def require_finite(values: Iterable[float], what: str, n: int | None = None) -> tuple[float, ...]:
-    """``values`` as a tuple of floats, ``n`` of them if given; :class:`DomainError`
-    naming them otherwise, or if any is NaN or infinite."""
-    try:
-        out = tuple(map(float, values))
-    except (TypeError, ValueError, OverflowError):
-        raise DomainError(f"{what} must be finite numbers, got {values!r}") from None
-    if n is not None and len(out) != n:
-        raise DomainError(f"{what} must be {n} numbers, got {values!r}")
-    if not all(map(math.isfinite, out)):
-        raise DomainError(f"{what} must be finite, got {out!r}")
-    return out
-
-
-def _floats(values: Iterable[float], n: int, what: str) -> tuple[float, ...]:
-    """``values`` as ``n`` floats, for a constructor; :class:`DomainError`
-    ``what`` naming what it got, and :class:`TypeError` for a wrong type."""
-    try:  # a string is iterable, but its characters are not numbers
-        out = () if isinstance(values, (str, bytes)) else tuple(map(float, values))
-    except ValueError:
-        out = ()
-    if len(out) != n:
-        raise DomainError(f"{what}, got {f'{len(out)}: ' if out else ''}{values!r}")
-    return out
-
-
 class Multivector(Record):
     """Immutable element of G(3,0), stored as 8 coefficients over
     {e0, e1, e2, e3, e12, e23, e13, e123}."""
@@ -96,7 +75,7 @@ class Multivector(Record):
     __slots__ = ("_c",)
 
     def __init__(self, coeffs: Iterable[float]):
-        _set(self, "_c", _floats(coeffs, 8, "Multivector needs exactly 8 coefficients"))
+        _set(self, "_c", reals(coeffs, "Multivector needs exactly 8 coefficients", 8))
 
     # -- constructors -------------------------------------------------
 
@@ -106,7 +85,7 @@ class Multivector(Record):
 
     @classmethod
     def scalar(cls, x: Scalar) -> "Multivector":
-        return _wrap((float(x),) + _ZERO[1:])
+        return _wrap((real(x, "a scalar must be a real number"),) + _ZERO[1:])
 
     @classmethod
     def basis(cls, name: str) -> "Multivector":
@@ -148,17 +127,17 @@ class Multivector(Record):
         if isinstance(other, Multivector):
             return _wrap(gp(self._c, other._c))
         if isinstance(other, (int, float)):
-            return _wrap(_scale(self._c, float(other)))
+            return _wrap(_scale(self._c, real(other, "a scalar factor must be a real number")))
         return NotImplemented
 
     def __rmul__(self, other):
         if isinstance(other, (int, float)):
-            return _wrap(_scale(self._c, float(other)))
+            return _wrap(_scale(self._c, real(other, "a scalar factor must be a real number")))
         return NotImplemented
 
     def __truediv__(self, other):
         if isinstance(other, (int, float)):
-            d = float(other)
+            d = real(other, "a divisor must be a real number")
             if d == 0.0:
                 raise DomainError("division of a multivector by zero")
             return _wrap(tuple([x / d for x in self._c]))
@@ -209,12 +188,14 @@ class Multivector(Record):
     def to_json(self) -> dict[str, float]:
         """Blade name -> coefficient; :class:`DomainError` if any
         coefficient is NaN or infinite, which JSON cannot carry."""
-        return dict(zip(BLADE_NAMES, require_finite(self._c, "multivector JSON coefficients")))
+        values = require_finite(self._c, "multivector JSON coefficients must be finite")
+        return dict(zip(BLADE_NAMES, values))
 
     @classmethod
     def from_json(cls, obj: dict[str, float]) -> "Multivector":
         values = read_json(obj, BLADE_NAMES, "multivector")
-        return cls._trusted(require_finite(values, "multivector JSON coefficients"))
+        what = "multivector JSON coefficients must be finite numbers"
+        return cls._trusted(read_numbers(values, what))
 
     def __repr__(self) -> str:
         terms = [f"{x:g}*{n}" for x, n in zip(self._c, BLADE_NAMES) if x != 0]
@@ -251,7 +232,7 @@ def linear_combine(terms: Iterable[tuple[Scalar, Multivector]]) -> Multivector:
     """Componentwise weighted sum of (scalar, multivector) pairs."""
     acc = _ZERO
     for w, m in terms:
-        acc = _add(acc, _scale(m._c, float(w)))
+        acc = _add(acc, _scale(m._c, real(w, "a linear_combine weight must be a real number")))
     return _wrap(acc)
 
 
@@ -273,8 +254,8 @@ class ComplexScalar(Record):
     __slots__ = ("re", "im")
 
     def __init__(self, re: float, im: float = 0.0):
-        _set(self, "re", re)
-        _set(self, "im", im)
+        _set(self, "re", real(re, "ComplexScalar parts must be real numbers"))
+        _set(self, "im", real(im, "ComplexScalar parts must be real numbers"))
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexScalar":
@@ -284,10 +265,10 @@ class ComplexScalar(Record):
         return complex(self.re, self.im)
 
     def conjugate(self) -> "ComplexScalar":
-        return ComplexScalar(self.re, -self.im)
+        return ComplexScalar._trusted(self.re, -self.im)
 
     def embed(self) -> Multivector:
-        return _wrap((float(self.re), 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, float(self.im)))
+        return _wrap((self.re, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, self.im))
 
 
 def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multivector:

@@ -16,14 +16,15 @@ overflows nor underflows.  :func:`quaternion_from_axis_angle` and negation
 build their result with :func:`_quaternion` (``Quaternion._trusted``),
 which trusts it:
 
-- :func:`quaternion_from_axis_angle` has checked the axis (unit within
-  tolerance) and the angle (finite) itself.  It writes the eight
-  coefficients of cos - sin * (e123 * c) directly, without the product:
-  cos(t/2) on e0, -sin(t/2) * (c3, c1, -c2) on (e12, e23, e13), and exact
-  zeros on the odd blades.  Each coefficient repeats the arithmetic the
-  product route ``cos(t/2) * E0 - sin(t/2) * (E123 * c)`` does on it,
-  zero terms included (a ``0.0 * cos`` or ``0.0 * sin`` where the route
-  multiplies by a zero coefficient, and ``0.0 + c_i`` where its
+- :func:`quaternion_from_axis_angle` has read the four fields of its
+  :class:`AxisAngle` once, by :func:`geobyte.errors.real`, and checked the
+  axis (unit within tolerance) and the angle (finite) itself.  It writes
+  the eight coefficients of cos - sin * (e123 * c) directly, without the
+  product: cos(t/2) on e0, -sin(t/2) * (c3, c1, -c2) on (e12, e23, e13),
+  and exact zeros on the odd blades.  Each coefficient repeats the
+  arithmetic the product route ``cos(t/2) * E0 - sin(t/2) * (E123 * c)``
+  does on it, zero terms included (a ``0.0 * cos`` or ``0.0 * sin`` where
+  the route multiplies by a zero coefficient, and ``0.0 + c_i`` where its
   accumulator starts), so the tuple is bit-identical to that route's,
   signed zeros included.
 - Negation keeps evenness, finiteness and the norm exactly.
@@ -39,8 +40,8 @@ from typing import Callable
 
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
-from .errors import DomainError, lookup, read_json
-from .multivector import BLADE_GRADES, E0, Multivector, _wrap, require_finite
+from .errors import DomainError, lookup, read_json, read_numbers, real, require_finite
+from .multivector import BLADE_GRADES, E0, Multivector, _wrap
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -54,13 +55,15 @@ class AxisAngle(Record):
 
     def to_json(self) -> dict:
         """:class:`DomainError` if any field is NaN or infinite."""
-        c1, c2, c3, theta = require_finite((self.c1, self.c2, self.c3, self.theta), "axis-angle")
+        fields = (self.c1, self.c2, self.c3, self.theta)
+        c1, c2, c3, theta = require_finite(fields, "axis-angle must be finite")
         return {"axis": [c1, c2, c3], "theta": theta}
 
     @classmethod
     def from_json(cls, obj: dict) -> "AxisAngle":
         axis, theta = read_json(obj, ("axis", "theta"), "axis-angle")
-        return cls(*require_finite(axis, "axis-angle axis", 3), *require_finite([theta], "theta"))
+        axis = read_numbers(axis, "axis-angle axis must be 3 finite numbers", 3)
+        return cls(*axis, *read_numbers([theta], "axis-angle theta must be a finite number"))
 
 
 class CayleyKlein(Record):
@@ -92,7 +95,7 @@ class Quaternion(Record):
             if not _is_unit(value):
                 raise DomainError(f"quaternion is not unit, got norm {value.norm()!r}")
         else:
-            require_finite(value._c, "quaternion coefficients")
+            require_finite(value._c, "quaternion coefficients must be finite")
         _set(self, "_value", value)
 
     def __reduce__(self):
@@ -138,22 +141,25 @@ _quaternion = Quaternion._trusted
 
 def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
     """exp(-e123 * c * theta/2) = cos(theta/2) - e123*c*sin(theta/2)."""
-    n2 = aa.c1 * aa.c1 + aa.c2 * aa.c2 + aa.c3 * aa.c3  # ** would raise on overflow
+    what = "axis-angle fields must be real numbers"
+    c1, c2, c3 = real(aa.c1, what), real(aa.c2, what), real(aa.c3, what)
+    theta = real(aa.theta, what)
+    n2 = c1 * c1 + c2 * c2 + c3 * c3  # ** would raise on overflow
     if not (abs(n2 - 1.0) <= _UNIT_TOL):
-        axis = (aa.c1, aa.c2, aa.c3)
+        axis = (c1, c2, c3)
         raise DomainError(f"rotation axis must be a unit vector, got {axis!r} with squared norm {n2!r}")
-    if not math.isfinite(aa.theta):
-        raise DomainError(f"rotation angle must be finite, got {aa.theta!r}")
-    half = 0.5 * aa.theta
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got {theta!r}")
+    half = 0.5 * theta
     k, s = math.cos(half), math.sin(half)
     z, sz = 0.0 * k, 0.0 * s
     # e123 * c = c1 e23 - c2 e13 + c3 e12; each term repeats the product
     # route's zero arithmetic, so every zero keeps that route's sign
     return _quaternion(_wrap((
         k - sz, z - sz, z - sz, z - sz,
-        z - (0.0 + float(aa.c3)) * s,
-        z - (0.0 + float(aa.c1)) * s,
-        z - (0.0 - float(aa.c2)) * s,
+        z - (0.0 + c3) * s,
+        z - (0.0 + c1) * s,
+        z - (0.0 - c2) * s,
         z - sz,
     )))
 
@@ -220,11 +226,19 @@ def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
         raise DomainError(f"{what} must be unit, got norm {mirror.norm()!r}")
 
 
+def _line_sandwich(m: Multivector, axis: Multivector) -> Multivector:
+    return axis * m * axis
+
+
+def _plane_sandwich(m: Multivector, plane: Multivector) -> Multivector:
+    return plane * m.grade_involution() * plane.reversion()
+
+
 def reflect_line(m: Multivector, axis: Multivector) -> Multivector:
     """axis * m * axis: vector components along the line keep sign,
     perpendicular ones flip."""
     _check_mirror(axis, 1, "reflection axis")
-    return axis * m * axis
+    return _line_sandwich(m, axis)
 
 
 def reflect_plane(m: Multivector, plane: Multivector) -> Multivector:
@@ -237,13 +251,15 @@ def reflect_plane(m: Multivector, plane: Multivector) -> Multivector:
     degenerates to the line reflection in the normal.
     """
     _check_mirror(plane, 2, "reflection plane")
-    return plane * m.grade_involution() * plane.reversion()
+    return _plane_sandwich(m, plane)
 
 
-#: basis reflection descriptor -> reflection of a multivector in it
+#: basis reflection descriptor -> reflection of a multivector in it.  The
+#: basis blades are unit and of one grade by construction, so these call
+#: the sandwiches without :func:`_check_mirror`.
 REFLECTIONS: dict[str, Callable[[Multivector], Multivector]] = {
-    **{n: lambda m, b=Multivector.basis(n): reflect_line(m, b) for n in ("e1", "e2", "e3")},
-    **{n: lambda m, b=Multivector.basis(n): reflect_plane(m, b) for n in ("e12", "e13", "e23")},
+    **{n: lambda m, b=Multivector.basis(n): _line_sandwich(m, b) for n in ("e1", "e2", "e3")},
+    **{n: lambda m, b=Multivector.basis(n): _plane_sandwich(m, b) for n in ("e12", "e13", "e23")},
     "point": reflect_point,
 }
 
@@ -288,11 +304,13 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
 
 def rodrigues_matrix(aa: AxisAngle):
     """Independent 3x3 rotation-matrix oracle for the same convention, as
-    a numpy array."""
+    a numpy array; the angle must be finite, as ``math.sin`` requires."""
     import numpy as np
 
-    c = np.array([aa.c1, aa.c2, aa.c3])
-    k = np.array(
-        [[0.0, -c[2], c[1]], [c[2], 0.0, -c[0]], [-c[1], c[0], 0.0]]
-    )
-    return np.eye(3) + math.sin(aa.theta) * k + (1.0 - math.cos(aa.theta)) * (k @ k)
+    what = "axis-angle fields must be real numbers"
+    c1, c2, c3 = real(aa.c1, what), real(aa.c2, what), real(aa.c3, what)
+    theta = real(aa.theta, what)
+    if not math.isfinite(theta):
+        raise DomainError(f"rotation angle must be finite, got {theta!r}")
+    k = np.array([[0.0, -c3, c2], [c3, 0.0, -c1], [-c2, c1, 0.0]])
+    return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)

@@ -49,6 +49,12 @@ def test_zero_multivector_renders_hollow():
     assert 'fill="none"' in svg and "#2e8b57" not in svg
 
 
+@pytest.mark.parametrize("format", ["ascii", "svg"])
+def test_structure_coords_render_as_their_multivector(rng, format):
+    m = Multivector(rng.standard_normal(8))
+    assert render_cube(to_structure_coords(m), format) == render_cube(m, format)
+
+
 def test_svg_color_and_determinism(rng):
     m = Multivector(rng.standard_normal(8))
     first = render_cube(m, "svg")

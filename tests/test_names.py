@@ -212,3 +212,60 @@ def test_guard_sees_a_raised_value_error_and_a_hand_read_json(tmp_path):
         "    raise ValueError\n"
     )
     assert len(_boundary_violations(src)) == 3
+
+
+# -- guard: a number from outside is converted once, by a reader -----------
+
+#: file -> the functions that may call ``float``/``complex``: the readers;
+#: the two text scanners, with the CLI's complex form of its own; and the
+#: read-offs that build a complex number from floats the library holds.
+#: ``cmath.isfinite`` is not a conversion here: once the readers have run,
+#: it only sees numbers they returned or the library computed.
+_CONVERTERS = {
+    "errors.py": {"real", "reals", "complexes"},
+    "expressions.py": {"_parse"},
+    "cli.py": {"_parse_floats", "_parse_complex"},
+    "transforms.py": {"cayley_klein"},
+    "hilbert.py": {"spinor_components"},
+    "multivector.py": {"as_complex"},
+    "matrix2.py": {"from_json"},
+}
+
+
+def _conversion_violations(path: Path) -> list[str]:
+    """``float(...)``, ``complex(...)``, ``map(float, ...)`` and
+    ``map(complex, ...)`` calls in ``path``, outside the functions
+    :data:`_CONVERTERS` names for its file."""
+    tree = ast.parse(path.read_text(), str(path))
+    inside = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.FunctionDef) and node.name in _CONVERTERS.get(path.name, ()):
+            inside.update(range(node.lineno, node.end_lineno + 1))
+    found = []
+    for node in ast.walk(tree):
+        if not isinstance(node, ast.Call) or node.lineno in inside:
+            continue
+        func, args = node.func, node.args
+        if isinstance(func, ast.Name) and func.id == "map" and args:
+            func = args[0]  # map(float, ...) converts as float(...) does
+        if isinstance(func, ast.Name) and func.id in ("float", "complex"):
+            found.append(f"{path.name}:{node.lineno}: {ast.unparse(node)}")
+    return found
+
+
+def test_numbers_are_converted_only_by_the_readers():
+    paths = sorted(SRC.glob("*.py"))
+    assert [v for path in paths for v in _conversion_violations(path)] == []
+
+
+def test_guard_sees_a_conversion_outside_the_readers(tmp_path):
+    src = tmp_path / "errors.py"
+    src.write_text(
+        "def real(x):\n"
+        "    return float(x)\n"
+        "def scale(m, x):\n"
+        "    return m * float(x)\n"
+        "def parts(xs):\n"
+        "    return tuple(map(complex, xs)), complex(xs[0])\n"
+    )
+    assert len(_conversion_violations(src)) == 3

@@ -289,9 +289,12 @@ def test_subclass_of_multivector_stores_floats():
         (lambda: covariant(covariant(_POS)), DomainError, ["positive", "covariant"]),
         (lambda: inner(covariant(_POS), _NEG), DomainError, ["negative", "contravariant"]),
         (lambda: spinor_components(_NEG), DomainError, ["negative", "contravariant"]),
+        (lambda: Spinor(Multivector([0, 1, 0, 0, 0, 0, 0, 0]), "positive", "contravariant"),
+         DomainError, [0.5**0.5]),
     ],
     ids=["axis", "quaternion", "coefficients", "tolerance", "signature", "quaternion evenness",
-         "mirror unit", "mirror grade", "structure coords", "covariant", "inner", "components"],
+         "mirror unit", "mirror grade", "structure coords", "covariant", "inner", "components",
+         "spinor ideal"],
 )
 def test_rejection_names_the_offending_value(reject, error, named):
     with pytest.raises(error) as info:

@@ -32,6 +32,7 @@ from geobyte import (
 from geobyte._kernels import BLADE_NAMES
 from geobyte.clusters import LABELS, POLARITIES
 from geobyte.errors import DomainError
+from geobyte.transforms import REFLECTIONS as BASIS_REFLECTIONS
 
 from conftest import random_multivector, random_unit_quaternion
 
@@ -350,6 +351,14 @@ def test_structure_permutation_matrix_oracle(op):
         assert sign in (1, -1)
         image = REFLECTIONS[op](structure_element(label))
         assert to_matrix(image) == sign * to_matrix(structure_element(target)), (op, label)
+
+
+def test_basis_reflections_skip_the_mirror_check_and_keep_every_bit(rng):
+    # the table calls the sandwiches directly; the public route checks first
+    for m in [random_multivector(rng) for _ in range(200)] + list(E.values()):
+        for op, reflect in REFLECTIONS.items():
+            want = struct.pack("8d", *reflect(m)._c)
+            assert struct.pack("8d", *BASIS_REFLECTIONS[op](m)._c) == want, (op, m)
 
 
 # -- the closed-form axis-angle quaternion --------------------------------
