@@ -1,26 +1,53 @@
-"""The geometric-product kernel over the 8 blade coefficients.
+"""The geometric-product kernels over the 8 blade coefficients.
 
 The blade multiplication table is derived once at import by
 transposition counting: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
-blade_i * blade_j = sign * blade_k.  From that table
-:func:`compile_kernel` generates :func:`gp`, one straight-line function
-over plain 8-tuples of floats, the technique the GA libraries kingdon
-and clifford use for their products.  Nothing here imports numpy.
+blade_i * blade_j = sign * blade_k.  Every product kernel is a partial
+evaluation of that one table, compiled by :func:`compile_kernel` into a
+straight-line function over plain 8-tuples of floats, the technique the
+GA libraries kingdon and clifford use for their products.  An operand is
+a variable ``(prefix, negated grades)``, whose sign flips are folded into
+the generated ``+``/``-``, or a constant 8-tuple, whose zero coefficients
+drop their terms and whose unit coefficients drop their multiplication.
+:func:`product` generates one product, :data:`gp` among them, and
+:func:`sandwich` two, keeping the first in locals.  Nothing here imports
+numpy.
 
 Pinned summation order: output blade k is ``0.0 +- a_i*b_j +- ...`` over
 the pairs (i, j) that land on k, in row-major (i, j) order.  That is the
 order in which numpy accumulates a contraction of the two coefficient
-vectors with the (8, 8, 8) sign tensor of the table, so products are
-bit-identical to that numpy product on finite input (the tests hold them
+vectors with the (8, 8, 8) sign tensor of the table, so :data:`gp` is
+bit-identical to that numpy product on finite input (the tests hold it
 to it); the leading 0.0 is numpy's zeroed accumulator and fixes the sign
 of zero results.  On overflowing input the two differ only in which
 non-finite value comes out: numpy gives NaN from its inf*0 terms, the
 straight line gives +-inf.
+
+Exactness, stated once.  A generated kernel computes the same value as
+the route through :data:`gp` and the involutions, bit for bit, because:
+
+- a negation is exact, and ``a - b`` is ``a + (-b)``, so a sign flip
+  folded into the sum changes nothing;
+- a left-to-right sum that starts at ``+0.0`` is unchanged by an exact
+  ``+-0.0`` term, because it can never become ``-0.0``
+  (``+0.0 + -0.0`` and ``x - x`` are ``+0.0``), so a term on a zero
+  constant may go;
+- ``x * 1.0 == x``, so a unit constant may go.
+
+So a kernel with no constant operand (the sandwiches) is bit-identical
+to its route on every input, inf and NaN included, except for a NaN's
+sign, which CPython fixes for no route: its own ``x + y`` gives NaN + NaN
+either sign, depending on whether the interpreter has specialised the
+instruction.  A kernel with a constant operand differs from :data:`gp`
+only on non-finite input, where it forms no inf*0 NaN.  Variable
+operands never drop terms: a coefficient that is zero in theory (the odd
+blades of a quaternion, which a public ``Quaternion`` may carry up to
+1e-12) is still multiplied.
 """
 
 from __future__ import annotations
 
-from typing import Callable
+from typing import Callable, Union
 
 # Blade storage order is fixed once, everywhere: scalar, the three
 # vectors, then e12, e23, e13 (note e23 before e13), then the pseudoscalar.
@@ -81,32 +108,79 @@ PRODUCT_TABLE = _build_table()
 
 
 def compile_kernel(
-    name: str, vectors: tuple[str, ...], outputs: list[str], scalars: tuple[str, ...] = ()
+    name: str,
+    vectors: tuple[str, ...],
+    outputs: list[str],
+    scalars: tuple[str, ...] = (),
+    lets: tuple[str, ...] = (),
 ) -> Callable:
     """Compile the straight-line function ``name(*vectors, *scalars)``.
 
     Each vector parameter ``v`` is an 8-tuple, unpacked into the locals
-    ``v0`` .. ``v7``; scalar parameters are used as they are.
-    The function returns the tuple of ``outputs``, Python expressions over
-    those locals.  Python evaluates each expression exactly as written,
-    left to right, so the source text pins the floating-point summation
-    order.
+    ``v0`` .. ``v7``; scalar parameters are used as they are.  The
+    assignments ``lets`` run next, in order, and the function returns the
+    tuple of ``outputs``, Python expressions over all those locals.
+    Python evaluates each expression exactly as written, left to right, so
+    the source text pins the floating-point summation order.
     """
     lines = [f"def {name}({', '.join(vectors + scalars)}):"]
     lines += [f"    {', '.join(f'{v}{i}' for i in range(8))} = {v}" for v in vectors]
+    lines += [f"    {let}" for let in lets]
     lines += ["    return ("] + [f"        {expr}," for expr in outputs] + ["    )"]
     namespace: dict = {}
     exec(compile("\n".join(lines), f"<geobyte kernel {name}>", "exec"), namespace)
     return namespace[name]
 
 
-def _product_outputs() -> list[str]:
-    terms: list[str] = ["0.0"] * 8
+#: an operand of a generated product: a variable ``(prefix, negated
+#: grades)`` or a constant 8-tuple of floats
+Operand = Union[tuple[str, tuple[int, ...]], tuple[float, ...]]
+
+
+def _factors(operand: Operand) -> list[tuple[int, str] | None]:
+    """Per blade of ``operand``: None for a zero constant, else (sign,
+    source), where the source of a unit constant is empty."""
+    if isinstance(operand[0], str):
+        prefix, negated = operand
+        return [
+            (-1 if len(t) in negated else 1, f"{prefix}{i}") for i, t in enumerate(BLADE_TUPLES)
+        ]
+    return [
+        None if c == 0 else (1 if c > 0 else -1, "" if abs(c) == 1 else repr(abs(c)))
+        for c in operand
+    ]
+
+
+def _product_outputs(left: Operand, right: Operand) -> list[str]:
+    """The eight output expressions of left * right, in the pinned order."""
+    lf, rf = _factors(left), _factors(right)
+    terms = ["0.0"] * 8
     for i, row in enumerate(PRODUCT_TABLE):
         for j, (k, sign) in enumerate(row):
-            terms[k] += f" {'+' if sign > 0 else '-'} a{i} * b{j}"
+            if lf[i] and rf[j]:
+                (ls, a), (rs, b) = lf[i], rf[j]
+                term = " * ".join(filter(None, (a, b))) or "1.0"
+                terms[k] += f" {'+' if sign * ls * rs > 0 else '-'} {term}"
     return terms
 
 
+def _parameters(*operands: Operand) -> tuple[str, ...]:
+    """The variable operands' prefixes, each once, in order."""
+    return tuple(dict.fromkeys(op[0] for op in operands if isinstance(op[0], str)))
+
+
+def product(name: str, left: Operand, right: Operand) -> Callable:
+    """Kernel of left * right, taking the variable operands' 8-tuples."""
+    return compile_kernel(name, _parameters(left, right), _product_outputs(left, right))
+
+
+def sandwich(name: str, left: Operand, middle: Operand, right: Operand) -> Callable:
+    """Kernel of (left * middle) * right, the first product kept in the
+    locals ``t0`` .. ``t7`` (so no operand may have the prefix ``t``)."""
+    lets = tuple(f"t{k} = {expr}" for k, expr in enumerate(_product_outputs(left, middle)))
+    outputs = _product_outputs(("t", ()), right)
+    return compile_kernel(name, _parameters(left, middle, right), outputs, lets=lets)
+
+
 #: gp(a, b): geometric product of two 8-tuples of floats, as an 8-tuple
-gp = compile_kernel("gp", ("a", "b"), _product_outputs())
+gp = product("gp", ("a", ()), ("b", ()))

@@ -4,22 +4,29 @@ geometric qubits, and the NOT / Hadamard gate analogs.
 Spinors carry their ideal (positive/negative) and variance
 (contravariant/covariant) explicitly so that ill-matched products are
 rejected instead of silently producing junk.  Each name is read from one
-table: ideal -> projector (:data:`_PROJECTORS`), variance -> the side on
-which its spinors absorb the projector (:data:`_ABSORB`), and side of a
-projection -> the variance it makes (:data:`_SIDE_VARIANCE`).
+table: ideal -> projector (:data:`_PROJECTORS`), ideal and variance -> the
+kernel by which its spinors absorb the projector (:data:`_ABSORB`), and
+side of a projection -> the variance it makes (:data:`_SIDE_VARIANCE`).
+
+The four absorbing kernels (m * P3, m * N3, P3 * m, N3 * m) are generated
+by :func:`geobyte._kernels.product` with the projector as a constant
+operand, so they form only the two nonzero terms of each coefficient.  On
+finite input they are bit-identical to the full product; they differ from
+it only on non-finite input, where they form no ``inf * 0`` NaN.
 
 The public :class:`Spinor` constructor checks that its value lies in the
-ideal (one more product and an ``approx_eq``).  Every spinor computed here
-is built by :func:`_spinor` (``Spinor._trusted``), which trusts that it
-does:
+ideal (one absorbing kernel and an ``approx_eq``; a value with a NaN or
+inf coefficient never passes).  Every spinor computed here is built by
+:func:`_spinor` (``Spinor._trusted``), which trusts that it does:
 
-- :func:`project`, :func:`spinor_pair`, :func:`spinor_from_components`
-  and :func:`hadamard_basis_vectors` multiply by the projector itself.
-  Each coefficient of a product with P3/N3 is a sum of two halved terms,
-  so multiplying by the projector again gives the value back, exactly
-  unless halving a subnormal coefficient rounds.
-  The values that come from outside (``m``, ``alpha``, ``beta``) must be
-  finite: ``0 * inf`` would put a NaN in the product.
+- :func:`project` and :func:`spinor_pair` apply an absorbing kernel, and
+  :func:`spinor_from_components` and :func:`hadamard_basis_vectors`
+  multiply by the projector itself.  Each coefficient of a product with
+  P3/N3 is a sum of two halved terms, so multiplying by the projector
+  again gives the value back, exactly unless halving a subnormal
+  coefficient rounds.  The values that come from outside (``m``,
+  ``alpha``, ``beta``) must be finite, and are checked before the
+  product, so the error names them.
 - :func:`covariant` reverses a contravariant spinor: ``~(v*P) = P*~v``,
   since P3 and N3 are their own reversion, and reversion only flips signs.
 - :func:`not_gate` multiplies on the other side from the projector, by a
@@ -31,11 +38,11 @@ from __future__ import annotations
 import cmath
 from typing import Literal
 
-from ._kernels import BLADE_NAMES
+from ._kernels import BLADE_NAMES, product
 from ._record import Record
 from .clusters import N1, N3, P1, P3, _signed_unit
 from .errors import DomainError, complexes, lookup, read_json, require_finite
-from .multivector import E1, E3, ComplexScalar, Multivector
+from .multivector import E1, E3, ComplexScalar, Multivector, _wrap
 from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
@@ -51,10 +58,14 @@ _HADAMARD_BASES = (P1 * P3, N1 * P3)
 
 #: ideal -> its projector
 _PROJECTORS: dict[str, Multivector] = {"positive": P3, "negative": N3}
-#: variance -> the product by which its spinors absorb the projector p
+#: ideal -> variance -> the kernel by which its spinors absorb the
+#: projector: on the right for contravariant ones, on the left for covariant
 _ABSORB = {
-    "contravariant": lambda v, p: v * p,  # on the right
-    "covariant": lambda v, p: p * v,  # on the left
+    ideal: {
+        "contravariant": product(f"{ideal}_contravariant", ("m", ()), p._c),
+        "covariant": product(f"{ideal}_covariant", p._c, ("m", ())),
+    }
+    for ideal, p in _PROJECTORS.items()
 }
 #: side of a projection -> the variance of the spinor it makes
 _SIDE_VARIANCE = {"right": "contravariant", "left": "covariant"}
@@ -71,8 +82,8 @@ class Spinor(Record):
     __slots__ = ("value", "ideal", "variance")
 
     def __post_init__(self):
-        p = lookup(_PROJECTORS, self.ideal, "unknown ideal")
-        absorbed = lookup(_ABSORB, self.variance, "unknown variance")(self.value, p)
+        by_variance = lookup(_ABSORB, self.ideal, "unknown ideal")
+        absorbed = _wrap(lookup(by_variance, self.variance, "unknown variance")(self.value._c))
         if not absorbed.approx_eq(self.value, _ABSORB_TOL):
             off = (absorbed - self.value).norm()
             raise DomainError(
@@ -118,12 +129,11 @@ class ParavectorState(Record):
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
     """One-sided multiplication by P3 or N3; ``m`` must be finite."""
-    p = lookup(_PROJECTORS, ideal, "unknown ideal")
+    by_variance = lookup(_ABSORB, ideal, "unknown ideal")
     variance = lookup(_SIDE_VARIANCE, side, "unknown side")
-    value = _ABSORB[variance](m, p)
-    # finite exactly when m is: each coefficient is a sum of two halves
-    require_finite(value._c, "projection must be finite")
-    return _spinor(value, ideal, variance)
+    # the product is finite when m is: each coefficient is a sum of two halves
+    c = require_finite(m._c, "projection input must be finite")
+    return _spinor(_wrap(by_variance[variance](c)), ideal, variance)
 
 
 def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
@@ -140,9 +150,11 @@ def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
 
 def spinor_pair(q: Quaternion) -> GeometricQubit:
     """Split a unit quaternion into its two contravariant spinor halves."""
+    c = q._value._c
+    pos, neg = _ABSORB["positive"]["contravariant"], _ABSORB["negative"]["contravariant"]
     return GeometricQubit(
-        positive=_spinor(q.value * P3, "positive", "contravariant"),
-        negative=_spinor(q.value * N3, "negative", "contravariant"),
+        positive=_spinor(_wrap(pos(c)), "positive", "contravariant"),
+        negative=_spinor(_wrap(neg(c)), "negative", "contravariant"),
     )
 
 

@@ -24,7 +24,8 @@ from typing import Iterable, Union
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
 from .errors import (
-    DomainError, UnknownBladeError, lookup, read_json, read_numbers, real, reals, require_finite
+    DomainError, UnknownBladeError, complexes, lookup, read_json, read_numbers, real, reals,
+    require_finite,
 )
 
 Scalar = Union[int, float]
@@ -259,7 +260,9 @@ class ComplexScalar(Record):
 
     @classmethod
     def from_complex(cls, z: complex) -> "ComplexScalar":
-        return cls(z.real, z.imag)
+        """``z`` as :func:`geobyte.errors.complexes` reads it."""
+        (z,) = complexes((z,), "a complex scalar must be a complex number")
+        return cls._trusted(z.real, z.imag)
 
     def as_complex(self) -> complex:
         return complex(self.re, self.im)
@@ -272,8 +275,9 @@ class ComplexScalar(Record):
 
 
 def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multivector:
-    """Multiply by a complex scalar realized through the pseudoscalar."""
-    if isinstance(z, complex):
+    """Multiply by a complex scalar realized through the pseudoscalar;
+    ``z`` is a :class:`ComplexScalar` or read by :meth:`ComplexScalar.from_complex`."""
+    if not isinstance(z, ComplexScalar):
         z = ComplexScalar.from_complex(z)
     return z.embed() * m
 

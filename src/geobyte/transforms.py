@@ -31,13 +31,25 @@ which trusts it:
 
 :func:`compose` stays checked: a product of two quaternions that are unit
 within tolerance can drift past it.
+
+The three actions :func:`rotate` (q * m * ~q), :func:`reflect_line`
+(a * m * a) and :func:`reflect_plane` (b * bar(m) * ~b) are each one
+sandwich kernel generated by :func:`geobyte._kernels.sandwich`, with the
+reversion and involution folded into its signs; they build no
+intermediate multivector and are bit-identical to the two products (the
+exactness argument is in :mod:`geobyte._kernels`).  :data:`REFLECTIONS`,
+the structure permutations and :func:`geobyte.hilbert.reconstruct_vector`
+go through the same kernels.  :func:`rodrigues_matrix` reads and checks
+its axis-angle as :func:`quaternion_from_axis_angle` does.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from typing import Callable
 
+from ._kernels import sandwich
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
 from .errors import DomainError, lookup, read_json, read_numbers, real, require_finite
@@ -128,10 +140,17 @@ def _is_unit(value: Multivector) -> bool:
     return abs(n * n - 1.0) <= _UNIT_TOL
 
 
+#: kept grades -> the getter of the coefficients outside them
+_OFF_GRADE = {
+    kept: operator.itemgetter(*[i for i, g in enumerate(BLADE_GRADES) if g not in kept])
+    for kept in ((0, 2), (1,), (2,))
+}
+
+
 def _off_grade_norm(value: Multivector, kept: tuple[int, ...]) -> float:
     """Norm of the coefficients of ``value`` outside the grades ``kept``;
     a NaN or inf among them fails any bound on it."""
-    return math.hypot(*[x for x, g in zip(value._c, BLADE_GRADES) if g not in kept])
+    return math.hypot(*_OFF_GRADE[kept](value._c))
 
 
 #: trusted constructor: its value is even and finite by construction, and
@@ -139,8 +158,10 @@ def _off_grade_norm(value: Multivector, kept: tuple[int, ...]) -> float:
 _quaternion = Quaternion._trusted
 
 
-def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
-    """exp(-e123 * c * theta/2) = cos(theta/2) - e123*c*sin(theta/2)."""
+def _axis_angle(aa: AxisAngle) -> tuple[float, float, float, float]:
+    """The fields (c1, c2, c3, theta) of ``aa``, each read once by
+    :func:`real`; :class:`DomainError` unless the axis is unit within
+    tolerance and the angle is finite."""
     what = "axis-angle fields must be real numbers"
     c1, c2, c3 = real(aa.c1, what), real(aa.c2, what), real(aa.c3, what)
     theta = real(aa.theta, what)
@@ -150,6 +171,12 @@ def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
         raise DomainError(f"rotation axis must be a unit vector, got {axis!r} with squared norm {n2!r}")
     if not math.isfinite(theta):
         raise DomainError(f"rotation angle must be finite, got {theta!r}")
+    return c1, c2, c3, theta
+
+
+def quaternion_from_axis_angle(aa: AxisAngle) -> Quaternion:
+    """exp(-e123 * c * theta/2) = cos(theta/2) - e123*c*sin(theta/2)."""
+    c1, c2, c3, theta = _axis_angle(aa)
     half = 0.5 * theta
     k, s = math.cos(half), math.sin(half)
     z, sz = 0.0 * k, 0.0 * s
@@ -196,9 +223,16 @@ def quaternion_from_euler_rodrigues(er: EulerRodrigues) -> Quaternion:
     )
 
 
+#: the three sandwiches q * m * ~q, a * m * a and b * bar(m) * ~b on
+#: 8-tuples, each one generated kernel
+_rotate = sandwich("rotate", ("q", ()), ("m", ()), ("q", (2, 3)))
+_reflect_line = sandwich("reflect_line", ("a", ()), ("m", ()), ("a", ()))
+_reflect_plane = sandwich("reflect_plane", ("b", ()), ("m", (1, 3)), ("b", (2, 3)))
+
+
 def rotate(m: Multivector, q: Quaternion) -> Multivector:
     """Sandwich q * m * ~q; grade preserving, isometric."""
-    return q.value * m * q.reversion()
+    return _wrap(_rotate(q._value._c, m._c))
 
 
 def compose(q1: Quaternion, q2: Quaternion) -> Quaternion:
@@ -227,11 +261,11 @@ def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
 
 
 def _line_sandwich(m: Multivector, axis: Multivector) -> Multivector:
-    return axis * m * axis
+    return _wrap(_reflect_line(axis._c, m._c))
 
 
 def _plane_sandwich(m: Multivector, plane: Multivector) -> Multivector:
-    return plane * m.grade_involution() * plane.reversion()
+    return _wrap(_reflect_plane(plane._c, m._c))
 
 
 def reflect_line(m: Multivector, axis: Multivector) -> Multivector:
@@ -304,13 +338,10 @@ def structure_permutation(op: str) -> dict[str, tuple[str, int]]:
 
 def rodrigues_matrix(aa: AxisAngle):
     """Independent 3x3 rotation-matrix oracle for the same convention, as
-    a numpy array; the angle must be finite, as ``math.sin`` requires."""
+    a numpy array; its axis-angle is checked as
+    :func:`quaternion_from_axis_angle` checks it."""
     import numpy as np
 
-    what = "axis-angle fields must be real numbers"
-    c1, c2, c3 = real(aa.c1, what), real(aa.c2, what), real(aa.c3, what)
-    theta = real(aa.theta, what)
-    if not math.isfinite(theta):
-        raise DomainError(f"rotation angle must be finite, got {theta!r}")
+    c1, c2, c3, theta = _axis_angle(aa)
     k = np.array([[0.0, -c3, c2], [c3, 0.0, -c1], [-c2, c1, 0.0]])
     return np.eye(3) + math.sin(theta) * k + (1.0 - math.cos(theta)) * (k @ k)

@@ -662,3 +662,17 @@ def test_quaternion_report_residual(rng):
     rep = decompose_report(q.value)
     assert rep.quaternion_diag_residual < 1e-12
     assert rep.vector_diag_residual == pytest.approx(q.value.norm())
+
+
+def test_kernel_commands_print_the_golden_text(capsys):
+    # one command per generated sandwich and projector kernel; the golden
+    # text is what these printed through the two-product route, and CI
+    # diffs the installed console script against it without numpy
+    golden = (Path(__file__).parent / "golden" / "kernels_cli.txt").read_text()
+    got = []
+    for line in golden.splitlines():
+        if line.startswith("$ geobyte "):
+            code, out, err = run(capsys, *line.removeprefix("$ geobyte ").split())
+            assert (code, err) == (0, ""), line
+            got.append(line + "\n" + out)
+    assert len(got) == 5 and "".join(got) == golden

@@ -1,8 +1,17 @@
-"""The derived product table and the straight-line product generated from it."""
+"""The derived product table and the straight-line kernels generated from
+it: the product, the sandwiches and the products by a projector."""
+
+import math
+import random
+import struct
 
 import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from geobyte import _kernels
+from geobyte import Multivector, _kernels, hilbert, project, transforms
+from geobyte.errors import DomainError
 
 from conftest import signed_zero_coeffs
 
@@ -36,3 +45,109 @@ def test_gp_matches_einsum_reference_bitwise(rng):
     for x, y in zip(a, b):
         got = np.array(_kernels.gp(tuple(x.tolist()), tuple(y.tolist())))
         assert got.tobytes() == _einsum_reference(x, y).tobytes(), (x, y)
+
+
+# -- kernels generated for fixed operands -----------------------------------
+
+
+def _negate(c, grades):
+    """``c`` with the blades of ``grades`` negated, as an involution does."""
+    return tuple(-x if len(t) in grades else x for x, t in zip(c, _kernels.BLADE_TUPLES))
+
+
+def _bits(c) -> bytes:
+    """``struct.pack`` of an 8-tuple, with every NaN packed as one NaN.
+
+    CPython fixes no NaN's sign: its own ``x + y`` gives NaN + NaN either
+    sign, depending on whether the interpreter has specialised the
+    instruction, so no route reproduces it.  Every other bit counts."""
+    return struct.pack("8d", *(math.nan if x != x else x for x in c))
+
+
+gp = _kernels.gp
+
+#: name -> (generated sandwich, the two-product route it replaces), on 8-tuples
+SANDWICHES = {
+    "rotate": (transforms._rotate, lambda q, m: gp(gp(q, m), _negate(q, (2, 3)))),
+    "reflect_line": (transforms._reflect_line, lambda a, m: gp(gp(a, m), a)),
+    "reflect_plane": (
+        transforms._reflect_plane,
+        lambda b, m: gp(gp(b, _negate(m, (1, 3))), _negate(b, (2, 3))),
+    ),
+}
+#: (ideal, variance) -> (generated projector product, the product by gp):
+#: contravariant spinors absorb the projector on the right, covariant on the left
+PROJECTIONS = {}
+for _ideal, _p in hilbert._PROJECTORS.items():
+    PROJECTIONS[_ideal, "contravariant"] = (
+        hilbert._ABSORB[_ideal]["contravariant"], lambda m, p=_p._c: gp(m, p)
+    )
+    PROJECTIONS[_ideal, "covariant"] = (
+        hilbert._ABSORB[_ideal]["covariant"], lambda m, p=_p._c: gp(p, m)
+    )
+
+
+def _fixed_cases(values, n=3000, seed=20260):
+    """``n`` pairs of 8-tuples drawn from ``values``."""
+    pick = random.Random(seed).choice
+    return [(tuple(pick(values) for _ in range(8)), tuple(pick(values) for _ in range(8)))
+            for _ in range(n)]
+
+
+_DYADIC = [s * k / 8 for s in (1.0, -1.0) for k in range(0, 25)] + [-0.0]
+_HUGE_AND_TINY = [s * 10.0 ** e for s in (1.0, -1.0) for e in (-300, -150, 0, 150, 300)]
+_FINITE_CASES = _fixed_cases(_DYADIC) + _fixed_cases(_HUGE_AND_TINY + [0.0, -0.0])
+_NON_FINITE_CASES = _fixed_cases(_DYADIC[::5] + _HUGE_AND_TINY + [math.inf, -math.inf, math.nan])
+
+
+@pytest.mark.parametrize("name", SANDWICHES)
+def test_sandwich_is_the_two_product_route_bit_for_bit(name):
+    kernel, route = SANDWICHES[name]
+    for x, m in _FINITE_CASES + _NON_FINITE_CASES:
+        assert _bits(kernel(x, m)) == _bits(route(x, m)), (x, m)
+
+
+@pytest.mark.parametrize("key", PROJECTIONS)
+def test_projector_product_is_the_gp_route_bit_for_bit_on_finite_input(key):
+    kernel, route = PROJECTIONS[key]
+    for _, m in _FINITE_CASES:
+        assert struct.pack("8d", *kernel(m)) == struct.pack("8d", *route(m)), m
+
+
+_eights = st.tuples(*[st.floats()] * 8)
+_finite_eights = st.tuples(*[st.floats(allow_nan=False, allow_infinity=False)] * 8)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=_eights, m=_eights)
+def test_sandwiches_match_the_two_product_route(x, m):
+    for kernel, route in SANDWICHES.values():
+        assert _bits(kernel(x, m)) == _bits(route(x, m))
+
+
+@settings(max_examples=300, deadline=None)
+@given(m=_finite_eights)
+def test_projector_products_match_gp(m):
+    for kernel, route in PROJECTIONS.values():
+        assert struct.pack("8d", *kernel(m)) == struct.pack("8d", *route(m))
+
+
+def test_a_unit_constant_operand_is_elided_bit_for_bit():
+    # e1 and -e123 as constants: every term is +-m_j, with no multiplication
+    for blade, sign in (("e1", 1.0), ("e123", -1.0)):
+        c = tuple(sign * x for x in Multivector.basis(blade)._c)
+        left = _kernels.product("left", c, ("m", ()))
+        right = _kernels.product("right", ("m", ()), c)
+        for _, m in _FINITE_CASES:
+            assert struct.pack("8d", *left(m)) == struct.pack("8d", *gp(c, m)), (blade, m)
+            assert struct.pack("8d", *right(m)) == struct.pack("8d", *gp(m, c)), (blade, m)
+
+
+@pytest.mark.parametrize("bad", [math.inf, -math.inf, math.nan])
+def test_project_rejects_a_non_finite_input_and_names_it(bad):
+    m = Multivector([1.0, bad, 0.0, 0.5, 0.0, 0.0, -2.0, 0.0])
+    for ideal in ("positive", "negative"):
+        for side in ("left", "right"):
+            with pytest.raises(DomainError) as err:
+                project(m, ideal, side)
+            assert repr(m._c) in str(err.value)

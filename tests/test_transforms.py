@@ -423,3 +423,19 @@ def test_unit_checks_quote_a_finite_norm_and_never_overflow():
         reflect_plane(E["e1"], 1e200 * E["e12"])
     with pytest.raises(DomainError, match="pure grade-1"):
         reflect_line(E["e1"], E["e1"] + 1e200 * E["e2"] + 1e200 * E["e12"])
+
+
+@pytest.mark.parametrize("aa", [
+    AxisAngle(1e200, 0, 1, 0.5),
+    AxisAngle(math.inf, 0, 1, 0.5),
+    AxisAngle(math.nan, 0, 1, 0.5),
+    AxisAngle(3, 0, 0, 0.5),
+    AxisAngle(0, 0, 1, math.inf),
+])
+def test_rodrigues_matrix_reads_its_axis_angle_as_the_quaternion_route_does(aa):
+    # a huge axis once made numpy warn, and a non-unit one gave a non-rotation
+    with pytest.raises(DomainError) as want:
+        quaternion_from_axis_angle(aa)
+    with pytest.raises(DomainError) as got:
+        rodrigues_matrix(aa)
+    assert str(got.value) == str(want.value)
