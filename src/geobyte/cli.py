@@ -32,7 +32,7 @@ import sys
 from types import SimpleNamespace
 
 from ._kernels import BLADE_NAMES
-from .clusters import blade_to_byte_signature, diag_projection, to_structure_coords
+from .clusters import LABELS, blade_to_byte_signature, diag_projection, to_structure_coords
 from .errors import DomainError, ParseError, require_finite
 from .expressions import evaluate_text, format_expression
 from .multivector import Multivector
@@ -86,7 +86,7 @@ def _cmd_eval(args) -> int:
         if args.format == "json":
             print(json.dumps(coords.to_json()))
         else:
-            for label, value in coords.to_json().items():
+            for label, value in zip(LABELS, coords.values):
                 print(f"{label:<5} {value:g}")
     else:
         coeffs, residual = diag_projection(m, _DIAG_KINDS[args.basis])

@@ -6,7 +6,7 @@ Every table here is computed from the definitions, never transcribed from
 printed expansions; printed rows are asserted in the test suite instead.
 One ordered product, :func:`_ordered`, builds the structure elements and
 the byte-signature blades.  One reader, :func:`_signed_unit`, reads every
-table read off a product, here and in transforms and hilbert.
+table read off a product, here and in transforms.
 
 The changes of basis are fixed +-1 matrices, so each is generated from
 its matrix as a straight-line kernel (:func:`geobyte._kernels.compile_kernel`)

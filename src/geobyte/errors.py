@@ -1,8 +1,9 @@
-"""Exception types shared across the package, and its three checks of
+"""Exception types shared across the package, and its four checks of
 outside input: :func:`lookup`, of a name against a finite domain (each is a
-key of a table); :func:`read_json`, of a JSON object's keys, with
-:func:`read_numbers` for its numbers; and the number readers :func:`real`,
-:func:`reals` (with :func:`require_finite` on top) and :func:`complexes`.
+key of a table); :func:`instance`, of an argument's class; :func:`read_json`,
+of a JSON object's keys, with :func:`read_numbers` for its numbers; and the
+number readers :func:`real`, :func:`reals` (with :func:`require_finite` on
+top) and :func:`complexes`.
 A number is what ``float`` (``complex``) can represent: other text and an
 int too large for a double are a :class:`DomainError` that names them, a
 value of the wrong type a :class:`TypeError`.  What a reader returns is
@@ -81,6 +82,14 @@ def lookup(table, key, what: str, error: type = DomainError):
         return table[key]
     except (KeyError, TypeError):
         raise error(f"{what} {_shown(key)}") from None
+
+
+def instance(x, cls: type, name: str):
+    """``x`` if it is a ``cls``; :class:`TypeError` naming the parameter
+    ``name`` and the type of ``x`` otherwise."""
+    if isinstance(x, cls):
+        return x
+    raise TypeError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
 
 
 def read_json(obj, keys: tuple[str, ...], what: str) -> list:

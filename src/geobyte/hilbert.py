@@ -16,21 +16,16 @@ it only on non-finite input, where they form no ``inf * 0`` NaN.
 
 The public :class:`Spinor` constructor checks that its value lies in the
 ideal (one absorbing kernel and an ``approx_eq``; a value with a NaN or
-inf coefficient never passes).  Every spinor computed here is built by
-:func:`_spinor` (``Spinor._trusted``), which trusts that it does:
-
-- :func:`project` and :func:`spinor_pair` apply an absorbing kernel, and
-  :func:`spinor_from_components` and :func:`hadamard_basis_vectors`
-  multiply by the projector itself.  Each coefficient of a product with
-  P3/N3 is a sum of two halved terms, so multiplying by the projector
-  again gives the value back, exactly unless halving a subnormal
-  coefficient rounds.  The values that come from outside (``m``,
-  ``alpha``, ``beta``) must be finite, and are checked before the
-  product, so the error names them.
-- :func:`covariant` reverses a contravariant spinor: ``~(v*P) = P*~v``,
-  since P3 and N3 are their own reversion, and reversion only flips signs.
-- :func:`not_gate` multiplies on the other side from the projector, by a
-  basis blade, which only permutes and negates coefficients.
+inf coefficient never passes).  Every spinor computed here is built
+trusted to lie there: it is an absorbing kernel's output (:func:`_absorbed`),
+:func:`covariant`'s reversion of one, or :func:`not_gate`'s left multiple
+of one by a basis blade.  Multiplying each by its projector again gives
+it back: the projector is idempotent, is its own reversion
+(``~(v*P) = P*~v``), and keeps a factor on the other side
+(``(b*v)*P = b*(v*P)``).  Every coefficient is a sum of two halved terms,
+or a signed copy of one, so this is exact unless halving a subnormal rounds.  The values from outside
+(``m``, ``alpha``, ``beta``) are checked finite before the kernel, so the
+error names them.
 """
 
 from __future__ import annotations
@@ -38,11 +33,11 @@ from __future__ import annotations
 import cmath
 from typing import Literal
 
-from ._kernels import BLADE_NAMES, product
+from ._kernels import BLADE_NAMES, PRODUCT_TABLE, product
 from ._record import Record
-from .clusters import N1, N3, P1, P3, _signed_unit
-from .errors import DomainError, complexes, lookup, read_json, require_finite
-from .multivector import E1, E3, ComplexScalar, Multivector, _wrap
+from .clusters import N1, N3, P1, P3
+from .errors import DomainError, complexes, instance, lookup, read_json, require_finite
+from .multivector import E1, E3, ComplexScalar, Multivector, _index, _wrap
 from .transforms import Quaternion, rotate
 
 Ideal = Literal["positive", "negative"]
@@ -50,8 +45,6 @@ Variance = Literal["contravariant", "covariant"]
 
 _ABSORB_TOL = 1e-12
 
-#: the basis spinor of the positive contravariant ideal beside P3
-E1P3 = E1 * P3
 #: the Hadamard regrouping's bases, P1*P3 = A + C and N1*P3 = B + Dbar
 _HADAMARD_BASES = (P1 * P3, N1 * P3)
 
@@ -108,6 +101,12 @@ class Spinor(Record):
 _spinor = Spinor._trusted
 
 
+def _absorbed(c: tuple[float, ...], ideal: Ideal, variance: Variance) -> Spinor:
+    """The spinor that the 8-tuple ``c`` makes by absorbing the projector
+    of ``ideal`` on the side of ``variance``: its kernel's output."""
+    return _spinor(_wrap(_ABSORB[ideal][variance](c)), ideal, variance)
+
+
 def _expect(s: Spinor, variance: Variance, ideal: Ideal | None, what: str) -> None:
     """:class:`DomainError` ``what`` unless ``s`` has ``variance`` and, if given, ``ideal``."""
     if s.variance != variance or ideal is not None and s.ideal != ideal:
@@ -129,32 +128,32 @@ class ParavectorState(Record):
 
 def project(m: Multivector, ideal: Ideal, side: Literal["right", "left"]) -> Spinor:
     """One-sided multiplication by P3 or N3; ``m`` must be finite."""
-    by_variance = lookup(_ABSORB, ideal, "unknown ideal")
+    lookup(_ABSORB, ideal, "unknown ideal")  # the ideal is read first, m last
     variance = lookup(_SIDE_VARIANCE, side, "unknown side")
     # the product is finite when m is: each coefficient is a sum of two halves
-    c = require_finite(m._c, "projection input must be finite")
-    return _spinor(_wrap(by_variance[variance](c)), ideal, variance)
+    c = require_finite(instance(m, Multivector, "m")._c, "projection input must be finite")
+    return _absorbed(c, ideal, variance)
 
 
 def degeneracy_partner(blade: str, ideal: Ideal) -> tuple[str, int]:
     """The other basis blade with the same projection image in the ideal,
     plus the relative sign (blade * proj = sign * partner * proj).
 
-    blade * e3 = s * partner for a single basis blade, and e3 * P3 = P3,
-    e3 * N3 = -N3, so the sign is s for P3 and -s for N3.
+    blade * e3 = s * partner, the product table's entry in column 3 (e3),
+    and e3 * P3 = P3, e3 * N3 = -N3, so the sign is s times the sign of the
+    projector's e3 coefficient (+1/2 for P3, -1/2 for N3).
     """
-    flip = 1 if lookup(_PROJECTORS, ideal, "unknown ideal") is P3 else -1
-    k, sign = _signed_unit((Multivector.basis(blade) * E3)._c)
-    return BLADE_NAMES[k], flip * sign
+    e3 = lookup(_PROJECTORS, ideal, "unknown ideal")._c[3]
+    k, s = PRODUCT_TABLE[_index(blade)][3]
+    return BLADE_NAMES[k], s if e3 > 0 else -s
 
 
 def spinor_pair(q: Quaternion) -> GeometricQubit:
     """Split a unit quaternion into its two contravariant spinor halves."""
-    c = q._value._c
-    pos, neg = _ABSORB["positive"]["contravariant"], _ABSORB["negative"]["contravariant"]
+    c = instance(q, Quaternion, "q")._value._c
     return GeometricQubit(
-        positive=_spinor(_wrap(pos(c)), "positive", "contravariant"),
-        negative=_spinor(_wrap(neg(c)), "negative", "contravariant"),
+        positive=_absorbed(c, "positive", "contravariant"),
+        negative=_absorbed(c, "negative", "contravariant"),
     )
 
 
@@ -204,11 +203,10 @@ def spinor_from_components(alpha: complex, beta: complex) -> Spinor:
     alpha, beta = complexes((alpha, beta), "spinor components must be numbers")
     if not (cmath.isfinite(alpha) and cmath.isfinite(beta)):
         raise DomainError(f"spinor components must be finite, got {alpha!r}, {beta!r}")
-    value = (
-        ComplexScalar._trusted(alpha.real, alpha.imag).embed() * P3
-        + ComplexScalar._trusted(beta.real, beta.imag).embed() * E1P3
-    )
-    return _spinor(value, "positive", "contravariant")
+    # (alpha + beta*e1) * P3, with i realised as e123, so beta's imaginary
+    # part lands on e123*e1 = e23
+    c = (alpha.real, beta.real, 0.0, 0.0, 0.0, beta.imag, 0.0, alpha.imag)
+    return _absorbed(c, "positive", "contravariant")
 
 
 class HadamardTerms(Record):
@@ -236,7 +234,7 @@ def hadamard_regroup(s: Spinor) -> HadamardTerms:
 
 
 _HADAMARD_VECTORS = tuple(
-    _spinor((2.0 ** -0.5 * v) * P3, "positive", "contravariant") for v in (E1 + E3, E1 - E3)
+    _absorbed((2.0 ** -0.5 * v)._c, "positive", "contravariant") for v in (E1 + E3, E1 - E3)
 )
 
 

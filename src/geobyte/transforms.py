@@ -37,10 +37,12 @@ The three actions :func:`rotate` (q * m * ~q), :func:`reflect_line`
 sandwich kernel generated by :func:`geobyte._kernels.sandwich`, with the
 reversion and involution folded into its signs; they build no
 intermediate multivector and are bit-identical to the two products (the
-exactness argument is in :mod:`geobyte._kernels`).  :data:`REFLECTIONS`,
-the structure permutations and :func:`geobyte.hilbert.reconstruct_vector`
-go through the same kernels.  :func:`rodrigues_matrix` reads and checks
-its axis-angle as :func:`quaternion_from_axis_angle` does.
+exactness argument is in :mod:`geobyte._kernels`).  Each action calls its
+kernel on the coefficient tuples directly, after reading each argument's
+class by :func:`geobyte.errors.instance`; so do :data:`REFLECTIONS`, the
+structure permutations and :func:`geobyte.hilbert.reconstruct_vector`.
+:func:`rodrigues_matrix` reads and checks its axis-angle as
+:func:`quaternion_from_axis_angle` does.
 """
 
 from __future__ import annotations
@@ -52,7 +54,7 @@ from typing import Callable
 from ._kernels import sandwich
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
-from .errors import DomainError, lookup, read_json, read_numbers, real, require_finite
+from .errors import DomainError, instance, lookup, read_json, read_numbers, real, require_finite
 from .multivector import BLADE_GRADES, E0, Multivector, _wrap
 
 _UNIT_TOL = 1e-9
@@ -232,7 +234,8 @@ _reflect_plane = sandwich("reflect_plane", ("b", ()), ("m", (1, 3)), ("b", (2, 3
 
 def rotate(m: Multivector, q: Quaternion) -> Multivector:
     """Sandwich q * m * ~q; grade preserving, isometric."""
-    return _wrap(_rotate(q._value._c, m._c))
+    c = instance(m, Multivector, "m")._c
+    return _wrap(_rotate(instance(q, Quaternion, "q")._value._c, c))
 
 
 def compose(q1: Quaternion, q2: Quaternion) -> Quaternion:
@@ -247,7 +250,7 @@ def compose(q1: Quaternion, q2: Quaternion) -> Quaternion:
 
 def reflect_point(m: Multivector) -> Multivector:
     """Reflection in the frame origin: vectors and trivectors flip sign."""
-    return m.grade_involution()
+    return instance(m, Multivector, "m").grade_involution()
 
 
 def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
@@ -260,19 +263,11 @@ def _check_mirror(mirror: Multivector, grade: int, what: str) -> None:
         raise DomainError(f"{what} must be unit, got norm {mirror.norm()!r}")
 
 
-def _line_sandwich(m: Multivector, axis: Multivector) -> Multivector:
-    return _wrap(_reflect_line(axis._c, m._c))
-
-
-def _plane_sandwich(m: Multivector, plane: Multivector) -> Multivector:
-    return _wrap(_reflect_plane(plane._c, m._c))
-
-
 def reflect_line(m: Multivector, axis: Multivector) -> Multivector:
     """axis * m * axis: vector components along the line keep sign,
     perpendicular ones flip."""
-    _check_mirror(axis, 1, "reflection axis")
-    return _line_sandwich(m, axis)
+    _check_mirror(instance(axis, Multivector, "axis"), 1, "reflection axis")
+    return _wrap(_reflect_line(axis._c, instance(m, Multivector, "m")._c))
 
 
 def reflect_plane(m: Multivector, plane: Multivector) -> Multivector:
@@ -284,18 +279,18 @@ def reflect_plane(m: Multivector, plane: Multivector) -> Multivector:
     keeps scalars fixed while vectors mirror; without it the sandwich
     degenerates to the line reflection in the normal.
     """
-    _check_mirror(plane, 2, "reflection plane")
-    return _plane_sandwich(m, plane)
+    _check_mirror(instance(plane, Multivector, "plane"), 2, "reflection plane")
+    return _wrap(_reflect_plane(plane._c, instance(m, Multivector, "m")._c))
 
 
 #: basis reflection descriptor -> reflection of a multivector in it.  The
 #: basis blades are unit and of one grade by construction, so these call
-#: the sandwiches without :func:`_check_mirror`.
+#: the kernels on each blade's 8-tuple, bound once, without :func:`_check_mirror`.
 REFLECTIONS: dict[str, Callable[[Multivector], Multivector]] = {
-    **{n: lambda m, b=Multivector.basis(n): _line_sandwich(m, b) for n in ("e1", "e2", "e3")},
-    **{n: lambda m, b=Multivector.basis(n): _plane_sandwich(m, b) for n in ("e12", "e13", "e23")},
-    "point": reflect_point,
-}
+    n: lambda m, k=k, b=Multivector.basis(n)._c: _wrap(k(b, instance(m, Multivector, "m")._c))
+    for k, names in ((_reflect_line, ("e1", "e2", "e3")), (_reflect_plane, ("e12", "e13", "e23")))
+    for n in names
+} | {"point": reflect_point}
 
 
 def _build_permutations() -> dict[str, tuple[tuple[str, tuple[str, int]], ...]]:

@@ -676,3 +676,18 @@ def test_kernel_commands_print_the_golden_text(capsys):
             assert (code, err) == (0, ""), line
             got.append(line + "\n" + out)
     assert len(got) == 5 and "".join(got) == golden
+
+
+def test_spinor_commands_print_the_golden_text(capsys):
+    # the gates build their spinor by the absorbing kernel and the basis
+    # mirrors call the reflection kernels directly; the golden text is what
+    # these printed through the full product, signed zeros and a subnormal
+    # among the inputs, and CI diffs the installed console script against it
+    golden = (Path(__file__).parent / "golden" / "spinor_cli.txt").read_text()
+    got = []
+    for line in golden.splitlines():
+        if line.startswith("$ geobyte "):
+            code, out, err = run(capsys, *line.removeprefix("$ geobyte ").split())
+            assert (code, err) == (0, ""), line
+            got.append(line + "\n" + out)
+    assert len(got) == 4 and "".join(got) == golden

@@ -10,8 +10,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from geobyte import Multivector, _kernels, hilbert, project, transforms
+from geobyte import (
+    ComplexScalar, Multivector, _kernels, hilbert, project, spinor_from_components, transforms,
+)
+from geobyte.clusters import P3, _signed_unit
 from geobyte.errors import DomainError
+from geobyte.multivector import E1, E3
 
 from conftest import signed_zero_coeffs
 
@@ -151,3 +155,55 @@ def test_project_rejects_a_non_finite_input_and_names_it(bad):
             with pytest.raises(DomainError) as err:
                 project(m, ideal, side)
             assert repr(m._c) in str(err.value)
+
+
+# -- every spinor from the absorbing kernel, every partner from the table ---
+
+
+def _embed_route(alpha: complex, beta: complex) -> tuple[float, ...]:
+    """alpha*P3 + beta*(e1*P3) through the full product, with each
+    component embedded with i as e123."""
+    def embed(z):
+        return ComplexScalar._trusted(z.real, z.imag).embed()
+
+    return (embed(alpha) * P3 + embed(beta) * (E1 * P3))._c
+
+
+_complexes = st.complex_numbers(allow_nan=False, allow_infinity=False)
+_EDGE_PARTS = [0.0, -0.0, 5e-324, -5e-324, 1e-310, -2.5e-309, 1e300, -1e300, 1e-300, -1e-300,
+               0.375, -1.75, 1.7976931348623157e308]
+
+
+@settings(max_examples=500, deadline=None)
+@given(alpha=_complexes, beta=_complexes)
+def test_spinor_from_components_is_the_embed_route_bit_for_bit(alpha, beta):
+    got = spinor_from_components(alpha, beta).value._c
+    assert struct.pack("8d", *got) == struct.pack("8d", *_embed_route(alpha, beta))
+
+
+def test_spinor_from_components_on_subnormal_signed_zero_and_extreme_parts():
+    pick = random.Random(20261).choice
+    cases = [tuple(complex(pick(_EDGE_PARTS), pick(_EDGE_PARTS)) for _ in range(2))
+             for _ in range(3000)]
+    cases += [(complex(a, b), complex(c, d)) for a in (0.0, -0.0) for b in (0.0, -0.0)
+              for c in (0.0, -0.0, 1e-310) for d in (0.0, -0.0, -1e300)]
+    for alpha, beta in cases:
+        got = spinor_from_components(alpha, beta).value._c
+        assert struct.pack("8d", *got) == struct.pack("8d", *_embed_route(alpha, beta)), (
+            alpha, beta)
+
+
+def test_hadamard_basis_vectors_are_the_gp_route_bit_for_bit():
+    vectors = hilbert.hadamard_basis_vectors()
+    for s, v in zip(vectors, (E1 + E3, E1 - E3)):
+        assert struct.pack("8d", *s.value._c) == struct.pack("8d", *((2.0 ** -0.5 * v) * P3)._c)
+        assert (s.ideal, s.variance) == ("positive", "contravariant")
+
+
+@pytest.mark.parametrize("ideal", ["positive", "negative"])
+@pytest.mark.parametrize("blade", _kernels.BLADE_NAMES)
+def test_degeneracy_partner_is_the_product_by_e3(blade, ideal):
+    # blade * e3 = s * partner, and e3 * P3 = P3 but e3 * N3 = -N3
+    k, s = _signed_unit((Multivector.basis(blade) * E3)._c)
+    flip = 1 if ideal == "positive" else -1
+    assert hilbert.degeneracy_partner(blade, ideal) == (_kernels.BLADE_NAMES[k], flip * s)

@@ -30,13 +30,17 @@ from geobyte import (
     quaternion_from_axis_angle,
     quaternion_from_euler_rodrigues,
     spinor_from_components,
+    spinor_pair,
     to_matrix,
     to_structure_coords,
 )
 from geobyte.errors import DomainError
-from geobyte.transforms import rodrigues_matrix
+from geobyte.transforms import (
+    REFLECTIONS, reflect_line, reflect_plane, reflect_point, rodrigues_matrix, rotate,
+)
 
 E1 = basis_element("e1")
+E12 = basis_element("e12")
 
 # entry point -> a call that passes it the number under test
 ENTRY_POINTS = {
@@ -180,6 +184,40 @@ def test_every_entry_point_ends_in_a_result_a_domain_error_or_a_type_error(x):
             call(x)
         except (DomainError, TypeError):
             pass  # an OverflowError, plain ValueError or AttributeError fails here
+
+
+_Q = quaternion_from_axis_angle(AxisAngle(0, 0, 1, 0.5))
+# the Euclidean and Hilbert actions, each with ``x`` where a Multivector or
+# a Quaternion belongs.  They are kept out of ENTRY_POINTS, whose other
+# tests want a number read as a number: an action reads no number, so any
+# value of another class is a TypeError that names the parameter.
+ACTIONS = {
+    "rotate m": lambda x: rotate(x, _Q),
+    "rotate q": lambda x: rotate(E1, x),
+    "reflect_point": reflect_point,
+    "reflect_line m": lambda x: reflect_line(x, E1),
+    "reflect_line axis": lambda x: reflect_line(E1, x),
+    "reflect_plane m": lambda x: reflect_plane(x, E12),
+    "reflect_plane plane": lambda x: reflect_plane(E1, x),
+    **{f"REFLECTIONS[{op!r}]": REFLECTIONS[op] for op in REFLECTIONS},
+    "project": lambda x: project(x, "positive", "right"),
+    "spinor_pair": spinor_pair,
+}
+
+
+@given(x=st.one_of(numbers, st.none(), st.just(_Q)))
+def test_every_action_ends_in_a_result_a_domain_error_or_a_type_error(x):
+    for call in ACTIONS.values():
+        try:
+            call(x)
+        except (DomainError, TypeError):
+            pass  # an AttributeError fails here
+
+
+@pytest.mark.parametrize("entry", ACTIONS)
+def test_an_action_given_a_value_of_another_class_names_the_parameter_and_the_type(entry):
+    with pytest.raises(TypeError, match=r"^(m|q|axis|plane) must be a \w+, got str$"):
+        ACTIONS[entry]("x")
 
 
 @given(x=st.one_of(numbers, st.booleans(), st.binary(), st.none()))
