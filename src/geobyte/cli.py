@@ -63,15 +63,22 @@ def _parse_complex(text: str, what: str) -> complex:
     return complex(re, im)
 
 
-def _finite(values) -> None:
-    """:class:`DomainError` unless every value to be printed is finite."""
-    require_finite(values, "result must be finite")
+def _finite(values) -> tuple[float, ...]:
+    """The values to be printed; :class:`DomainError` unless each is finite.
+    A JSON object is built from what this returns, so it is checked once."""
+    return require_finite(values, "result must be finite")
+
+
+def _spinor_json(spinor, values: tuple[float, ...]) -> dict:
+    """``spinor.to_json()``, from its value's coefficients ``values``, already checked."""
+    value = dict(zip(BLADE_NAMES, values))
+    return {"ideal": spinor.ideal, "variance": spinor.variance, "value": value}
 
 
 def _emit_multivector(m: Multivector, fmt: str) -> None:
-    _finite(m._c)
+    values = _finite(m._c)
     if fmt == "json":
-        print(json.dumps(m.to_json()))
+        print(json.dumps(dict(zip(BLADE_NAMES, values))))
     else:
         print(format_expression(m))
 
@@ -81,12 +88,11 @@ def _cmd_eval(args) -> int:
     if args.basis == "blade":
         _emit_multivector(m, args.format)
     elif args.basis == "structure":
-        coords = to_structure_coords(m)
-        _finite(coords.values)
+        values = _finite(to_structure_coords(m).values)
         if args.format == "json":
-            print(json.dumps(coords.to_json()))
+            print(json.dumps(dict(zip(LABELS, values))))
         else:
-            for label, value in zip(LABELS, coords.values):
+            for label, value in zip(LABELS, values):
                 print(f"{label:<5} {value:g}")
     else:
         coeffs, residual = diag_projection(m, _DIAG_KINDS[args.basis])
@@ -124,9 +130,9 @@ def _cmd_project(args) -> int:
     target = evaluate_text(args.target)
     ideal = {"pos": "positive", "neg": "negative"}[args.ideal]
     spinor = project(target, ideal, args.side)
-    _finite(spinor.value._c)
+    values = _finite(spinor.value._c)
     if args.format == "json":
-        print(json.dumps(spinor.to_json()))
+        print(json.dumps(_spinor_json(spinor, values)))
     else:
         print(f"ideal    {spinor.ideal}")
         print(f"variance {spinor.variance}")
@@ -142,9 +148,9 @@ def _cmd_gate(args) -> int:
     spinor = spinor_from_components(alpha, beta)
     if args.name == "not":
         result = not_gate(spinor)
-        _finite(result.value._c)
+        values = _finite(result.value._c)
         if args.format == "json":
-            print(json.dumps(result.to_json()))
+            print(json.dumps(_spinor_json(result, values)))
         else:
             print(format_expression(result.value))
     else:  # hadamard

@@ -49,11 +49,11 @@ _ASCII_TEMPLATE = """\
 
 def render_ascii(coords: StructureCoords) -> str:
     """Oblique cube with +/-/0 glyphs at the vertices and a value legend."""
-    marks = {label: _glyph(coords[label]) for label in LABELS}
-    out = _ASCII_TEMPLATE.format(**marks)
+    glyphs = [_glyph(v) for v in coords.values]
+    out = _ASCII_TEMPLATE.format(**dict(zip(LABELS, glyphs)))
     out += "\n"
-    for label in LABELS:
-        out += f"{label:<5} {_glyph(coords[label])} {abs(coords[label]):g}\n"
+    for label, glyph, v in zip(LABELS, glyphs, coords.values):
+        out += f"{label:<5} {glyph} {abs(v):g}\n"
     return out
 
 
@@ -62,25 +62,26 @@ def _project(octant: tuple[int, int, int]) -> tuple[int, int]:
     return 190 + 70 * x + 36 * y, 190 - 70 * z - 36 * y
 
 
+#: label -> its vertex in the drawing, in label order
+_POSITIONS = {label: _project(VERTEX_OCTANTS[label]) for label in LABELS}
+#: the SVG's opening lines, the same on every call: its header and the edges
+_SVG_HEAD = (
+    '<svg xmlns="http://www.w3.org/2000/svg" width="380" height="380" '
+    'viewBox="0 0 380 380">',
+    '<rect width="380" height="380" fill="white"/>',
+    *(
+        f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}" stroke="#999999" stroke-width="1"/>'
+        for (xa, ya), (xb, yb) in ((_POSITIONS[a], _POSITIONS[b]) for a, b in _EDGES)
+    ),
+)
+
+
 def render_svg(coords: StructureCoords) -> str:
     """Deterministic SVG: positive vertices green, negative blue, zero
     hollow; circle radius scales with magnitude."""
-    vmax = max(abs(coords[label]) for label in LABELS)
-    lines = [
-        '<svg xmlns="http://www.w3.org/2000/svg" width="380" height="380" '
-        'viewBox="0 0 380 380">',
-        '<rect width="380" height="380" fill="white"/>',
-    ]
-    for a, b in _EDGES:
-        xa, ya = _project(VERTEX_OCTANTS[a])
-        xb, yb = _project(VERTEX_OCTANTS[b])
-        lines.append(
-            f'<line x1="{xa}" y1="{ya}" x2="{xb}" y2="{yb}" '
-            'stroke="#999999" stroke-width="1"/>'
-        )
-    for label in LABELS:
-        v = coords[label]
-        x, y = _project(VERTEX_OCTANTS[label])
+    vmax = max(map(abs, coords.values))
+    lines = list(_SVG_HEAD)
+    for label, v, (x, y) in zip(LABELS, coords.values, _POSITIONS.values()):
         if v > 0:
             fill, stroke = "#2e8b57", "#2e8b57"
         elif v < 0:

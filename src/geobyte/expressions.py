@@ -1,19 +1,25 @@
 """Expression language for Clifford values: one parser and an evaluator.
 
-There is one grammar and one parser, a single loop over the tokens with a
-stack of the pending unary minuses, parentheses and calls; one compiled
-pattern scans each token, told apart by the group it matched.  The parser
-builds its result through node builders chosen by the caller:
-:func:`parse` passes the AST classes and returns the tree, while
-:func:`evaluate_text` passes multivector operations and folds each value
-as its rule is reduced, so no tree is built on that path.  Both see the
-same tokens, in the same order, and raise the same :class:`ParseError`
-for the same text.  The fold follows the tree's shape and operand order,
-and it and :func:`evaluate` apply the same operations, from one table each
-for functions, operators and constants, so their values agree bit for
-bit.  Tokens are scanned one ahead of the parse, as a recursive-descent
-parser would, so a bad character, a bad number and the nesting cap are
-reported in the order of the text.
+There is one grammar and one parser, a single forward pass over the tokens
+with a stack of the pending unary minuses, parentheses and calls; one
+compiled pattern scans each token, told apart by the group it matched, and
+each token is consumed as it is scanned.  The parser builds its result
+through node builders chosen by the caller: :func:`parse` passes the AST
+classes and returns the tree, while :func:`evaluate_text` passes the
+multivector kernels and folds each value, as its rule is reduced, on plain
+8-tuples of coefficients, so no tree is built on that path and the result
+is wrapped as a :class:`Multivector` once.  The fold trusts its operands
+because every one was checked where it entered: a number is finite when the
+scanner returns it, and the constants and kernels are the package's own.
+Both builders see the same tokens, in the same order, and raise the same
+:class:`ParseError` for the same text.  The fold follows the tree's shape
+and operand order, and it and :func:`evaluate` apply the same kernels, from
+one table, so their values agree bit for bit.  Errors are reported in the
+order of the text, as a recursive-descent parser with one token of
+lookahead reports them: an error at a token that begins an operand (an
+unknown name, an unexpected token, the nesting cap) is raised only after
+the token after it has been scanned, so a bad character or a bad number
+there is reported first.
 
 Grammar (products need an explicit '*'; "e12" is a single token):
 
@@ -30,77 +36,139 @@ Grammar (products need an explicit '*'; "e12" is a single token):
 A number written with an exponent is one token, so "2e12" is the number
 2e12; write "2*e12" for twice the blade.  A NUMBER must be finite and its
 denominator nonzero.  Parentheses, function calls and unary minus together
-nest at most MAX_DEPTH levels deep.  Neither the parser's loop nor
-:func:`evaluate` needs such a cap.  It stays so that a text over the cap
-keeps its error and its offset, and because ``==``, ``hash`` and ``repr``
-of a tree (the generic :class:`Record` methods) still recurse into every
-nested node.
+nest at most MAX_DEPTH levels deep.  Neither the parser, :func:`evaluate`
+nor a tree's ``==``, ``hash`` and ``repr`` recurse, so none of them needs
+such a cap; it stays so that a text over the cap keeps its error and its
+offset.
 """
 
 from __future__ import annotations
 
 import functools
 import math
-import operator
 import re
 from typing import Union
 
-from ._kernels import BLADE_NAMES
+from ._kernels import BLADE_NAMES, gp
 from ._record import Record
 from .clusters import LABELS, N1, N2, N3, P1, P2, P3, structure_element
-from .errors import DomainError, ParseError, lookup
-from .multivector import E123 as _I, Multivector, _BASIS
+from .errors import DomainError, ParseError, lookup, real
+from .multivector import (
+    E123 as _I, Multivector, _BASIS, _ZERO, _add, _clifford_conjugation, _grade_involution,
+    _neg, _reversion, _sub, _wrap,
+)
 
 # -- AST ---------------------------------------------------------------
 
 
-class Literal(Record):
+class _Tree(Record):
+    """Base of the AST nodes; the last ``_ARITY`` fields of a node are its
+    children.  ``==``, ``hash`` and ``repr`` read a tree through
+    :func:`_walk` or an explicit stack of their own, so a tree of any depth
+    or chain length costs them no recursion; each gives what the generic
+    :class:`Record` method gives."""
+
+    __slots__ = ()
+    _ARITY = 0
+
+    def _shape(self) -> list:
+        """Each node of the tree in :func:`_walk` order, as its class and
+        its fields other than the children; a child that is no node as
+        itself.  The classes fix where each node's children start, so
+        equal shapes are equal trees."""
+        return [
+            (type(n), n._fields()[: len(n._FIELDS) - n._ARITY])
+            if isinstance(n, _Tree) else (None, n)
+            for n in _walk(self)
+        ]
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._shape() == other._shape()
+
+    def __hash__(self):
+        return hash(tuple(self._shape()))
+
+    def __repr__(self):
+        parts, todo = [], [self]  # ``todo``: nodes, and text already formatted
+        while todo:
+            item = todo.pop()
+            if not isinstance(item, _Tree):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__name__}("]
+            for k, name in enumerate(item._FIELDS):
+                value = getattr(item, name)
+                shown = value if isinstance(value, _Tree) else repr(value)
+                pieces += (f"{', ' if k else ''}{name}=", shown)
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(parts)
+
+
+class Literal(_Tree):
     """A number; ``value`` is a float."""
 
     __slots__ = ("value",)
 
 
-class Imaginary(Record):
+class Imaginary(_Tree):
     __slots__ = ()
 
 
-class Const(Record):
+class Const(_Tree):
     """A named constant; ``name`` is a str."""
 
     __slots__ = ("name",)
 
 
-class Neg(Record):
+class Neg(_Tree):
     """Negation of the Expr ``child``."""
 
     __slots__ = ("child",)
+    _ARITY = 1
 
 
-class Func(Record):
+class Func(_Tree):
     """Function ``name`` (str) applied to the Expr ``child``."""
 
     __slots__ = ("name", "child")
+    _ARITY = 1
 
 
-class BinOp(Record):
+class BinOp(_Tree):
     """``op`` ("+", "-" or "*") applied to the Exprs ``left`` and ``right``."""
 
     __slots__ = ("op", "left", "right")
+    _ARITY = 2
 
 
 Expr = Union[Literal, Imaginary, Const, Neg, Func, BinOp]
-_Node = Union[Expr, Multivector]  # what a parser's builders return
+_Node = Union[Expr, tuple]  # what a parser's builders return
+
+
+def _walk(e) -> list:
+    """``e`` and everything below it, each node before its children and
+    its last child first, so the reverse is the post-order left to right;
+    one explicit stack, so any depth or chain length costs no recursion."""
+    nodes, todo = [], [e]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if isinstance(node, _Tree) and node._ARITY:
+            todo += node._fields()[-node._ARITY :]
+    return nodes
+
 
 # -- operations and constants ----------------------------------------
 
-#: function name -> its operation
+#: function name -> its operation; the fold applies the kernel each calls
 _FUNC_IMPL = {
     "rev": Multivector.reversion,
     "bar": Multivector.grade_involution,
     "conj": Multivector.clifford_conjugation,
 }
-#: binary operator -> its operation
-_BINOP_IMPL = {"+": operator.add, "-": operator.sub, "*": operator.mul}
 #: constant name -> its value, read from the modules that derive them
 _CONSTANTS: dict[str, Multivector] = {
     **dict(zip(BLADE_NAMES, _BASIS)),
@@ -117,16 +185,23 @@ MAX_DEPTH = 100
 # -- tokens ------------------------------------------------------------
 
 _UNSIGNED = r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?"
-# one token per match, told apart by ``m.lastindex``: a name, one of the
-# five operators, a number (with a denominator, possibly empty), or a
-# character no token starts with; no match means the end of the text
+# one token per match, told apart by ``m.lastindex``: a name, an operator
+# character, a number (with a denominator, possibly empty), or a character
+# no token starts with; no match means the end of the text
 _TOKEN = re.compile(
-    r"\s*(?:([A-Za-z][A-Za-z0-9]*)|(\+)|(-)|(\*)|(\()|(\))"
-    rf"|({_UNSIGNED})(?:/((?:{_UNSIGNED})?))?|(\S))"
+    rf"\s*(?:([A-Za-z][A-Za-z0-9]*)|([-+*()])|({_UNSIGNED})(?:/((?:{_UNSIGNED})?))?|(\S))"
 )
-_END, _NAME, _ADD, _SUB, _MUL, _OPEN, _CLOSE, _NUMBER, _FRACTION, _BAD = range(10)
-_KIND_NAMES = ("end", "name", "op", "op", "op", "op", "op", "number", "number", "character")
+_NAME, _OP, _NUMBER, _FRACTION, _BAD = range(1, 6)
+_KIND_NAMES = (None, "name", "op", "number", "number", "character")
+# what each error site expected
+_ATOM_EXPECTED = frozenset({"number", "constant", "i", "function", "("})
+_NAME_EXPECTED = frozenset({"constant", "function"})
+_DEPTH_EXPECTED = frozenset({"number", "constant", "i"})
+_OPEN_EXPECTED = frozenset({"("})
+_CLOSE_EXPECTED = frozenset({")"})
+_TRAILING_EXPECTED = frozenset({"+", "-", "*", "end"})
 _NUMBER_EXPECTED = frozenset({"number"})
+_TOKEN_EXPECTED = frozenset({"token"})
 
 
 def _error(text: str, m, expected: frozenset[str], message: str = "unexpected {} {!r}") -> ParseError:
@@ -144,68 +219,96 @@ def _error(text: str, m, expected: frozenset[str], message: str = "unexpected {}
 
 
 def _parse(text: str, build: tuple) -> _Node:
-    """The grammar above as one loop over the tokens.  ``build`` holds the
-    named atoms (constants and i) as a dict, then the builders of a number
-    and a negation, the functions as a dict by name, and the binary
-    operators as a dict by symbol; a builder must not raise.  Each pass
-    consumes one token and scans the next.  A unary minus, "(" and a
-    function call each push the pending sum and product on ``frames``, so
-    the nesting depth is its length.  A completed operand pops its unary
-    minuses and takes the "*" before it at once; a pending "+" or "-"
-    waits for the term after it, and ")" pops its group."""
+    """The grammar above as one forward pass over the tokens.  ``build``
+    holds the named atoms (constants and i) as a dict, then the builders of
+    a number and a negation, the functions as a dict by name, and the
+    binary operators as a dict by symbol; a builder must not raise.  A
+    unary minus, "(" and a function call each push the pending sum and
+    product on ``frames``, so the nesting depth is its length.  A completed
+    operand pops its unary minuses and takes the "*" before it at once; a
+    pending "+" or "-" waits for the token after the term, and ")" pops its
+    group."""
     atoms, number, neg, funcs, binops = build
     add, sub, mul = binops["+"], binops["-"], binops["*"]
     tokens = _TOKEN.finditer(text)  # (\S) makes each match start where the last ended
+
+    def scan(m) -> float | None:
+        """The value of the token ``m`` if it is a number, None for any other
+        token or none; the :class:`ParseError` of a bad character or number.
+        An error at a token that begins an operand first scans the token
+        after it, so that one's own error comes first, in text order."""
+        if m is None or m.lastindex < _NUMBER:
+            return None
+        if m.lastindex == _BAD:
+            raise _error(text, m, _TOKEN_EXPECTED, "unexpected character {1!r}")
+        value = float(m[_NUMBER])
+        if m.lastindex == _FRACTION:
+            if not m[_FRACTION]:
+                raise ParseError("expected denominator", m.start(_FRACTION), _NUMBER_EXPECTED)
+            if float(m[_FRACTION]) == 0.0:
+                raise ParseError("division by zero", m.start(_NUMBER), _NUMBER_EXPECTED)
+            value /= float(m[_FRACTION])
+        if not math.isfinite(value):
+            raise ParseError("number is not finite", m.start(_NUMBER), _NUMBER_EXPECTED)
+        return value
+
     frames = []  # (closer, sum, its operator, product); a unary minus's closer is neg
-    acc = acc_op = prod = closer = val = m = value = None
-    kind, operand = _ADD, False  # as if after a "+" before the text
-    while True:
-        cur, cur_m, cur_value = kind, m, value
-        m = next(tokens, None)
-        kind = _END if m is None else m.lastindex
-        if kind >= _NUMBER:
-            if kind == _BAD:
-                raise _error(text, m, frozenset({"token"}), "unexpected character {1!r}")
-            value = float(m[_NUMBER])
-            if kind == _FRACTION:
-                if not m[_FRACTION]:
-                    raise ParseError("expected denominator", m.start(_FRACTION), _NUMBER_EXPECTED)
-                if float(m[_FRACTION]) == 0.0:
-                    raise ParseError("division by zero", m.start(_NUMBER), _NUMBER_EXPECTED)
-                value /= float(m[_FRACTION])
-            if not math.isfinite(value):
-                raise ParseError("number is not finite", m.start(_NUMBER), _NUMBER_EXPECTED)
-        # consume ``cur``; ``kind`` is the token after it
+    acc = acc_op = prod = val = None
+    operand = True  # whether the next token begins an operand
+    for m in tokens:
+        kind = m.lastindex
         if operand:
-            if cur == _NAME:
-                name = cur_m[_NAME]
+            if kind == _NAME:
+                name = m[_NAME]
                 val = atoms.get(name)
-                if val is None:
-                    if name not in funcs:
-                        raise _error(text, cur_m, frozenset({"constant", "function"}), "unknown name {1!r}")
-                    if kind != _OPEN:
-                        raise _error(text, m, frozenset({"("}))
-                    closer, opener = funcs[name], cur_m
-                    continue
-            elif cur >= _NUMBER:
-                val = number(cur_value)
-            elif cur == _OPEN or cur == _SUB:
-                frames.append((neg if cur == _SUB else closer, acc, acc_op, prod))
-                if len(frames) > MAX_DEPTH:
-                    at = cur_m if closer is None else opener
-                    message = f"nesting deeper than {MAX_DEPTH} levels"
-                    raise _error(text, at, frozenset({"number", "constant", "i"}), message)
-                acc = prod = closer = None
-                continue
+                if val is None:  # a function name, whose "(" opens its frame
+                    closer = funcs.get(name)
+                    if closer is None:
+                        scan(next(tokens, None))
+                        raise _error(text, m, _NAME_EXPECTED, "unknown name {1!r}")
+                    opener, m = m, next(tokens, None)
+                    scan(m)
+                    if m is None or m[_OP] != "(":
+                        raise _error(text, m, _OPEN_EXPECTED)
+            elif kind != _OP:
+                val = number(scan(m))
             else:
-                raise _error(text, cur_m, frozenset({"number", "constant", "i", "function", "("}))
-        elif cur == _CLOSE:
-            fn, acc, acc_op, prod = frames.pop()
-            if fn is not None:
-                val = fn(val)
-        else:  # "+", "-" or "*", settled before it was consumed
-            operand = True
-            continue
+                op = m[_OP]
+                if op == "(":
+                    closer = None
+                elif op == "-":
+                    closer = neg
+                else:
+                    scan(next(tokens, None))
+                    raise _error(text, m, _ATOM_EXPECTED)
+                opener, val = m, None
+            if val is None:
+                frames.append((closer, acc, acc_op, prod))
+                if len(frames) > MAX_DEPTH:
+                    scan(next(tokens, None))
+                    message = f"nesting deeper than {MAX_DEPTH} levels"
+                    raise _error(text, opener, _DEPTH_EXPECTED, message)
+                acc = prod = None
+                continue
+        else:  # the token after an operand
+            op = m[_OP]
+            if op == "*":
+                prod, operand = val, True
+                continue
+            if acc is not None:
+                val = acc_op(acc, val)
+                acc = None
+            if op == "+" or op == "-":
+                acc, acc_op, operand = val, (add if op == "+" else sub), True
+                continue
+            if op != ")" or not frames:
+                scan(m)
+                if frames:
+                    raise _error(text, m, _CLOSE_EXPECTED)
+                raise _error(text, m, _TRAILING_EXPECTED, "trailing input {1!r}")
+            closer, acc, acc_op, prod = frames.pop()
+            if closer is not None:
+                val = closer(val)
         # ``val`` completes an operand
         while frames and frames[-1][0] is neg:
             _, acc, acc_op, prod = frames.pop()
@@ -214,31 +317,35 @@ def _parse(text: str, build: tuple) -> _Node:
             val = mul(prod, val)
             prod = None
         operand = False
-        # settle the operator ``kind`` before it is consumed
-        if kind == _MUL:
-            prod = val
-            continue
-        if acc is not None:
-            val = acc_op(acc, val)
-            acc = None
-        if kind == _ADD or kind == _SUB:
-            acc, acc_op = val, (add if kind == _ADD else sub)
-        elif frames:
-            if kind != _CLOSE:
-                raise _error(text, m, frozenset({")"}))
-        elif kind == _END:
-            return val
-        else:
-            raise _error(text, m, frozenset({"+", "-", "*", "end"}), "trailing input {1!r}")
+    if operand:
+        raise _error(text, None, _ATOM_EXPECTED)
+    if acc is not None:
+        val = acc_op(acc, val)
+    if frames:
+        raise _error(text, None, _CLOSE_EXPECTED)
+    return val
 
 
-# the parser's builders of a tree, and of the value that tree evaluates to
+_ZEROS = _ZERO[1:]
+
+
+def _scalar(x: float) -> tuple[float, ...]:
+    """The coefficients of the scalar ``x``, a float already read."""
+    return (x,) + _ZEROS
+
+
+# the parser's builders of a tree, and of the coefficients of the value
+# that tree evaluates to: the kernels the Multivector operations call
 _AST_BUILD = (
     {**{name: Const(name) for name in _CONSTANTS}, "i": Imaginary()}, Literal, Neg,
     {name: functools.partial(Func, name) for name in _FUNC_IMPL},
-    {op: functools.partial(BinOp, op) for op in _BINOP_IMPL},
+    {op: functools.partial(BinOp, op) for op in "+-*"},
 )
-_VALUE_BUILD = ({"i": _I, **_CONSTANTS}, Multivector.scalar, operator.neg, _FUNC_IMPL, _BINOP_IMPL)
+_VALUE_BUILD = (
+    {"i": _I._c, **{name: m._c for name, m in _CONSTANTS.items()}}, _scalar, _neg,
+    {"rev": _reversion, "bar": _grade_involution, "conj": _clifford_conjugation},
+    {"+": _add, "-": _sub, "*": gp},
+)
 
 
 def parse(text: str) -> Expr:
@@ -249,21 +356,15 @@ def parse(text: str) -> Expr:
 def evaluate(e: Expr) -> Multivector:
     """Bottom-up evaluation to a multivector; i is the pseudoscalar.
 
-    One post-order walk with an explicit stack, so a tree of any depth or
-    chain length costs no recursion depth.  Each binary operator takes
-    its left value, then its right, as a recursive walk would.
+    One post-order walk (:func:`_walk`), so a tree of any depth or chain
+    length costs no recursion depth.  Each binary operator takes its left
+    value, then its right, as a recursive walk would.  A literal's value
+    is read by :func:`geobyte.errors.real`, as :meth:`Multivector.scalar`
+    reads it.
     """
-    nodes, todo = [], [e]  # ``nodes`` in pre-order, right subtree first
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        if isinstance(node, BinOp):
-            todo += (node.left, node.right)
-        elif isinstance(node, (Neg, Func)):
-            todo.append(node.child)
     atoms, number, neg, funcs, binops = _VALUE_BUILD
     values = []
-    for node in reversed(nodes):  # post-order: left, right, then the node
+    for node in reversed(_walk(e)):  # post-order: left, right, then the node
         if isinstance(node, BinOp):
             right = values.pop()
             values[-1] = lookup(binops, node.op, "unknown operator")(values[-1], right)
@@ -272,20 +373,20 @@ def evaluate(e: Expr) -> Multivector:
         elif isinstance(node, Func):
             values[-1] = lookup(funcs, node.name, "unknown function")(values[-1])
         elif isinstance(node, Literal):
-            values.append(number(node.value))
+            values.append(number(real(node.value, "a scalar must be a real number")))
         elif isinstance(node, Imaginary):
             values.append(atoms["i"])
         elif isinstance(node, Const):
-            values.append(lookup(_CONSTANTS, node.name, "unknown constant"))
+            values.append(lookup(_CONSTANTS, node.name, "unknown constant")._c)
         else:
             raise TypeError(f"not an expression node: {node!r}")
-    return values[0]
+    return _wrap(values[0])
 
 
 def evaluate_text(text: str) -> Multivector:
     """The value of ``evaluate(parse(text))``, folded while parsing;
     :class:`DomainError` if the value overflowed."""
-    m = _parse(text, _VALUE_BUILD)
+    m = _wrap(_parse(text, _VALUE_BUILD))
     if not all(map(math.isfinite, m._c)):
         raise DomainError(f"expression value is not finite: {m!r}")
     return m

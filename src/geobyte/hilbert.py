@@ -107,9 +107,11 @@ def _absorbed(c: tuple[float, ...], ideal: Ideal, variance: Variance) -> Spinor:
     return _spinor(_wrap(_ABSORB[ideal][variance](c)), ideal, variance)
 
 
-def _expect(s: Spinor, variance: Variance, ideal: Ideal | None, what: str) -> None:
-    """:class:`DomainError` ``what`` unless ``s`` has ``variance`` and, if given, ``ideal``."""
-    if s.variance != variance or ideal is not None and s.ideal != ideal:
+def _expect(s: Spinor, name: str, variance: Variance, ideal: Ideal | None, what: str) -> None:
+    """:class:`TypeError` naming the parameter ``name`` unless ``s`` is a
+    :class:`Spinor`; :class:`DomainError` ``what`` unless it has ``variance``
+    and, if given, ``ideal``."""
+    if instance(s, Spinor, name).variance != variance or ideal is not None and s.ideal != ideal:
         raise DomainError(f"{what}, got ({s.ideal!r}, {s.variance!r})")
 
 
@@ -159,23 +161,23 @@ def spinor_pair(q: Quaternion) -> GeometricQubit:
 
 def covariant(s: Spinor) -> Spinor:
     """Reversion; flips variance, keeps the ideal."""
-    _expect(s, "contravariant", None, "covariant() expects a contravariant spinor")
+    _expect(s, "s", "contravariant", None, "covariant() expects a contravariant spinor")
     return _spinor(s.value.reversion(), s.ideal, "covariant")
 
 
 def inner(sc: Spinor, s: Spinor) -> Multivector:
     """Covariant-then-contravariant product; P3 (or N3) for spinors of
     one unit quaternion."""
-    _expect(sc, "covariant", None, "inner() wants (covariant, contravariant)")
-    _expect(s, "contravariant", sc.ideal,
+    _expect(sc, "sc", "covariant", None, "inner() wants (covariant, contravariant)")
+    _expect(s, "s", "contravariant", sc.ideal,
             "inner() wants (covariant, contravariant) and requires matching ideals")
     return sc.value * s.value
 
 
 def outer(s: Spinor, sc: Spinor) -> ParavectorState:
     """Contravariant-then-covariant product; the rotated paravector."""
-    _expect(s, "contravariant", None, "outer() wants (contravariant, covariant)")
-    _expect(sc, "covariant", s.ideal,
+    _expect(s, "s", "contravariant", None, "outer() wants (contravariant, covariant)")
+    _expect(sc, "sc", "covariant", s.ideal,
             "outer() wants (contravariant, covariant) and requires matching ideals")
     return ParavectorState(s.value * sc.value)
 
@@ -191,7 +193,7 @@ def reconstruct_vector(q: Quaternion) -> Multivector:
 def spinor_components(s: Spinor) -> tuple[complex, complex]:
     """Coefficients (alpha, beta) of a positive contravariant spinor over
     {P3, e1*P3}, with i realized as the pseudoscalar."""
-    _expect(s, "contravariant", "positive",
+    _expect(s, "s", "contravariant", "positive",
             "component extraction is defined on the positive contravariant ideal")
     v = s.value
     return complex(2 * v["e0"], 2 * v["e12"]), complex(2 * v["e1"], 2 * v["e2"])
@@ -247,5 +249,5 @@ def hadamard_basis_vectors() -> tuple[Spinor, Spinor]:
 def not_gate(s: Spinor) -> Spinor:
     """Left multiplication by e1: swaps the two basis spinors of the
     ideal; involutive since e1*e1 = e0."""
-    _expect(s, "contravariant", None, "not_gate() expects a contravariant spinor")
+    _expect(s, "s", "contravariant", None, "not_gate() expects a contravariant spinor")
     return _spinor(E1 * s.value, s.ideal, s.variance)

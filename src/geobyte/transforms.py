@@ -200,7 +200,7 @@ def cayley_klein(q: Quaternion) -> CayleyKlein:
     reproduces the closed axis-angle forms alpha = cos(t/2) - i*c3*sin(t/2),
     beta = -i*(c1 + i*c2)*sin(t/2).
     """
-    v = q.value
+    v = instance(q, Quaternion, "q").value
     return CayleyKlein(
         alpha=complex(v["e0"], v["e12"]),
         beta=complex(v["e13"], v["e23"]),
@@ -243,6 +243,7 @@ def compose(q1: Quaternion, q2: Quaternion) -> Quaternion:
 
     The product is checked to be even and finite, and to be unit when
     both factors are."""
+    q1, q2 = instance(q1, Quaternion, "q1"), instance(q2, Quaternion, "q2")
     return Quaternion(
         q1.value * q2.value, require_unit=_is_unit(q1.value) and _is_unit(q2.value)
     )

@@ -691,3 +691,20 @@ def test_spinor_commands_print_the_golden_text(capsys):
             assert (code, err) == (0, ""), line
             got.append(line + "\n" + out)
     assert len(got) == 4 and "".join(got) == golden
+
+
+def test_eval_commands_print_the_golden_text(capsys):
+    # every --basis in both formats, signed zeros, a subnormal and fractions,
+    # and each way a text fails; the golden text holds stdout, then stderr
+    # one line each after "stderr: ", then the exit code, as the tree-building
+    # and Multivector-operator fold printed them, and CI diffs the installed
+    # console script against it
+    golden = (Path(__file__).parent / "golden" / "eval_cli.txt").read_text()
+    got = []
+    for line in golden.splitlines():
+        if line.startswith("$ geobyte "):
+            code, out, err = run(capsys, *line.removeprefix("$ geobyte ").split())
+            got.append(f"{line}\n{out}")
+            got.extend(f"stderr: {e}\n" for e in err.splitlines())
+            got.append(f"exit {code}\n")
+    assert golden.count("$ geobyte ") == 57 and "".join(got) == golden

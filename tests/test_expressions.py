@@ -19,6 +19,7 @@ from geobyte import (
     structure_element,
 )
 from geobyte._kernels import BLADE_NAMES
+from geobyte._record import Record
 from geobyte.clusters import LABELS
 from geobyte.errors import DomainError, ParseError
 from geobyte.expressions import (
@@ -399,3 +400,65 @@ def test_deep_trees_evaluate_without_recursion(kind):
             name, op = names[k % 5], ops[k % 4]
             tree, want = BinOp(op, Const(name), tree), _BINOP_METHODS[op](E[name], want)
     assert _bits(evaluate(tree)) == _bits(want)
+
+
+# -- a hand-built literal is read as Multivector.scalar reads it -----------
+
+
+def test_evaluate_reads_a_literal_as_multivector_scalar():
+    assert _bits(evaluate(Literal("2"))) == _bits(Multivector.scalar(2.0))
+    with pytest.raises(DomainError, match=r"^a scalar must be a real number, got 1000"):
+        evaluate(Literal(10**400))
+    with pytest.raises(TypeError, match="NoneType"):
+        evaluate(Literal(None))
+
+
+# -- ==, hash and repr of trees deeper than the recursion limit ------------
+
+
+def _nested(node):
+    """The tree as nested tuples: what the generic Record methods compare
+    and hash (recursive, so for shallow trees only)."""
+    if isinstance(node, Record):
+        return type(node), tuple(_nested(getattr(node, f)) for f in node._FIELDS)
+    return node
+
+
+def _record_repr(node):
+    """The generic Record repr, applied all the way down (recursive)."""
+    if isinstance(node, Record):
+        fields = ", ".join(f"{f}={_record_repr(getattr(node, f))}" for f in node._FIELDS)
+        return f"{type(node).__name__}({fields})"
+    return repr(node)
+
+
+@settings(max_examples=200)
+@given(_VALID, _VALID)
+@example("-0", "0")
+@example("e1+e2", "e1-e2")
+@example("rev(e1)", "bar(e1)")
+def test_tree_eq_hash_and_repr_are_the_generic_record_methods(a, b):
+    ta, tb = parse(a), parse(b)
+    assert repr(ta) == _record_repr(ta)
+    assert (ta == tb) == (_nested(ta) == _nested(tb))
+    assert ta == parse(a) and hash(ta) == hash(parse(a))
+    assert (ta != tb) == (not ta == tb)
+    hand = BinOp("+", ta, Neg(tb))  # not what the parser builds for b
+    assert hand == BinOp("+", parse(a), Neg(parse(b))) != BinOp("-", ta, Neg(tb))
+
+
+def test_chains_and_nests_of_100k_compare_hash_and_print_without_recursion():
+    n = 100_000
+    chain = "+".join(["e1"] * n)
+    tree, again = parse(chain), parse(chain)
+    assert tree == again and hash(tree) == hash(again)
+    leaf = "Const(name='e1')"
+    assert repr(tree) == "BinOp(op='+', left=" * (n - 1) + leaf + f", right={leaf})" * (n - 1)
+    nest = Literal(0.5)
+    for k in range(n):
+        nest = Func("rev", nest) if k % 2 else Neg(nest)
+    twin = Literal(0.5)
+    for k in range(n):
+        twin = Func("rev", twin) if k % 2 else Neg(twin)
+    assert nest == twin and hash(nest) == hash(twin) and nest != Neg(twin)
+    assert repr(nest) == "Func(name='rev', child=Neg(child=" * (n // 2) + "Literal(value=0.5)" + "))" * (n // 2)

@@ -35,8 +35,12 @@ from geobyte import (
     to_structure_coords,
 )
 from geobyte.errors import DomainError
+from geobyte.hilbert import (
+    covariant, hadamard_regroup, inner, not_gate, outer, spinor_components,
+)
 from geobyte.transforms import (
-    REFLECTIONS, reflect_line, reflect_plane, reflect_point, rodrigues_matrix, rotate,
+    REFLECTIONS, cayley_klein, compose, reflect_line, reflect_plane, reflect_point,
+    rodrigues_matrix, rotate,
 )
 
 E1 = basis_element("e1")
@@ -187,8 +191,10 @@ def test_every_entry_point_ends_in_a_result_a_domain_error_or_a_type_error(x):
 
 
 _Q = quaternion_from_axis_angle(AxisAngle(0, 0, 1, 0.5))
-# the Euclidean and Hilbert actions, each with ``x`` where a Multivector or
-# a Quaternion belongs.  They are kept out of ENTRY_POINTS, whose other
+_S = spinor_from_components(0.6, 0.8j)
+_SC = covariant(_S)
+# the Euclidean and Hilbert actions, each with ``x`` where a Multivector, a
+# Quaternion or a Spinor belongs.  They are kept out of ENTRY_POINTS, whose other
 # tests want a number read as a number: an action reads no number, so any
 # value of another class is a TypeError that names the parameter.
 ACTIONS = {
@@ -202,6 +208,17 @@ ACTIONS = {
     **{f"REFLECTIONS[{op!r}]": REFLECTIONS[op] for op in REFLECTIONS},
     "project": lambda x: project(x, "positive", "right"),
     "spinor_pair": spinor_pair,
+    "compose q1": lambda x: compose(x, _Q),
+    "compose q2": lambda x: compose(_Q, x),
+    "cayley_klein": cayley_klein,
+    "covariant": covariant,
+    "inner sc": lambda x: inner(x, _S),
+    "inner s": lambda x: inner(_SC, x),
+    "outer s": lambda x: outer(x, _SC),
+    "outer sc": lambda x: outer(_S, x),
+    "spinor_components": spinor_components,
+    "hadamard_regroup": hadamard_regroup,
+    "not_gate": not_gate,
 }
 
 
@@ -216,7 +233,7 @@ def test_every_action_ends_in_a_result_a_domain_error_or_a_type_error(x):
 
 @pytest.mark.parametrize("entry", ACTIONS)
 def test_an_action_given_a_value_of_another_class_names_the_parameter_and_the_type(entry):
-    with pytest.raises(TypeError, match=r"^(m|q|axis|plane) must be a \w+, got str$"):
+    with pytest.raises(TypeError, match=r"^(m|q|q1|q2|axis|plane|s|sc) must be a \w+, got str$"):
         ACTIONS[entry]("x")
 
 
