@@ -1,7 +1,7 @@
 """The geometric-product kernels over the 8 blade coefficients.
 
 The blade multiplication table is derived once at import by
-transposition counting: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
+counting inversions: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
 blade_i * blade_j = sign * blade_k.  Every product kernel is a partial
 evaluation of that one table, compiled by :func:`compile_kernel` into a
 straight-line function over plain 8-tuples of floats, the technique the
@@ -71,25 +71,11 @@ NAME_INDEX: dict[str, int] = {n: i for i, n in enumerate(BLADE_NAMES)}
 def _blade_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[int, ...]]:
     """Multiply two basis blades; returns (sign, result indices).
 
-    Sign counts the transpositions needed to sort the concatenated index
-    list; equal adjacent indices then cancel pairwise (e_i e_i = e0,
-    positive signature).
+    Sorting the concatenated indices swaps each pair i > j with i from
+    ``a`` and j from ``b`` once; equal indices then cancel (e_i e_i = e0,
+    positive signature), leaving the symmetric difference.
     """
-    idx = list(a) + list(b)
-    sign = 1
-    # bubble sort, counting swaps
-    for i in range(len(idx)):
-        for j in range(len(idx) - 1 - i):
-            if idx[j] > idx[j + 1]:
-                idx[j], idx[j + 1] = idx[j + 1], idx[j]
-                sign = -sign
-    out: list[int] = []
-    for k in idx:
-        if out and out[-1] == k:
-            out.pop()
-        else:
-            out.append(k)
-    return sign, tuple(out)
+    return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(set(a) ^ set(b)))
 
 
 def _build_table() -> tuple[tuple[tuple[int, int], ...], ...]:

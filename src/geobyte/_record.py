@@ -8,11 +8,12 @@ through its own constructor, so unpickling runs the same checks as
 construction.  Setting or deleting an attribute raises
 :class:`AttributeError`.
 
-Creating a subclass compiles two straight-line functions over its fields:
-``cls._trusted(field, ...)``, which stores them unchecked, for values whose
-invariant the caller has established; and, when the class declares fields
-and writes no ``__init__``, an ``__init__`` that stores them and then calls
-``self.__post_init__()``, the record's check, if it has one.  A class that
+Creating a subclass compiles straight-line functions over its fields:
+``self._fields()``, their tuple; ``cls._trusted(field, ...)``, which stores
+them unchecked, for values whose invariant the caller has established; and,
+when the class declares fields and writes no ``__init__``, an ``__init__``
+that stores them and then calls ``self.__post_init__()``, the record's
+check, if it has one.  A class that
 converts its arguments writes its own ``__init__`` and stores with
 :data:`_set`.  Plain classes, because ``dataclasses`` and building frozen
 dataclasses were most of the package's import time; not ``NamedTuple``,
@@ -24,6 +25,13 @@ fields to that ``__init__``, then stores its own.  Its ``__reduce__`` takes
 the leading constructor arguments from the converting class's
 ``__reduce__`` (which may write them in another form than the fields, or
 add options after them) and appends its own fields.
+
+A record's last ``_ARITY`` fields are its children (the expression
+nodes').  ``==``, ``hash``, ``repr`` and pickling read it through one
+explicit-stack walk, :func:`_walk`, so no depth or chain length recurses;
+a value with methods of its own (a ``Multivector``) stands for itself.
+A record with children pickles as the flat list of its walk, which
+:func:`_rebuild` folds back through each node's constructor.
 """
 
 _set = object.__setattr__
@@ -32,6 +40,8 @@ _set = object.__setattr__
 class Record:
     __slots__ = ()
     _FIELDS: tuple = ()
+    #: the number of trailing fields that are children, which :func:`_walk` descends into
+    _ARITY = 0
     #: the nearest class that writes its own ``__init__``, and the number
     #: of leading fields that ``__init__`` stores (0: no such class)
     _CONVERTER: tuple = (None, 0)
@@ -46,6 +56,7 @@ class Record:
         params = ", ".join(fields)
         stores = [f"    _set{i}(self, {f})\n" for i, f in enumerate(fields)]
         src = f"def _trusted({params}):\n    self = _new(_cls)\n{''.join(stores)}    return self\n"
+        src += f"def _fields(self):\n    return ({''.join(f'self.{f}, ' for f in fields)})\n"
         if own and "__init__" not in vars(cls):
             convert = f"    _converter.__init__(self, {', '.join(fields[:k])})\n" if k else ""
             check = "    self.__post_init__()\n" if hasattr(cls, "__post_init__") else ""
@@ -61,31 +72,80 @@ class Record:
         }
         namespace.update((f"_set{i}", getattr(cls, f).__set__) for i, f in enumerate(fields))
         exec(compile(src, f"<record {cls.__qualname__}>", "exec"), namespace)
-        for name in ("_trusted", "__init__", "__reduce__"):
+        for name in ("_trusted", "_fields", "__init__", "__reduce__"):
             if name in namespace:
                 namespace[name].__qualname__ = f"{cls.__qualname__}.{name}"
                 setattr(cls, name, namespace[name])
         cls._trusted = staticmethod(cls._trusted)
 
-    def _fields(self) -> tuple:
-        return tuple(getattr(self, name) for name in self._FIELDS)
+    def _shape(self) -> list:
+        """Each value of :func:`_walk`: ``self`` and each record whose class
+        keeps the generic ``==`` and pickling as (class, fields other than
+        the children), any other value as (None, value).  Equal shapes are
+        equal trees."""
+        eq, reduce = Record.__eq__, Record.__reduce__
+        return [
+            (type(n), n._fields()[: len(n._FIELDS) - n._ARITY])
+            if n is self or type(n).__eq__ is eq and type(n).__reduce__ is reduce
+            else (None, n)
+            for n in _walk(self)
+        ]
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._fields() == other._fields()
+        return self._shape() == other._shape()
 
     def __hash__(self):
-        return hash(self._fields())
+        return hash(tuple(self._shape()))
 
     def __repr__(self):
-        fields = ", ".join(f"{n}={getattr(self, n)!r}" for n in self._FIELDS)
-        return f"{type(self).__name__}({fields})"
+        parts, todo = [], [self]  # ``todo``: records, and text already formatted
+        while todo:
+            item = todo.pop()
+            if isinstance(item, str):
+                parts.append(item)
+                continue
+            pieces = [f"{type(item).__name__}("]
+            for k, name in enumerate(item._FIELDS):
+                value = getattr(item, name)
+                shown = value if type(value).__repr__ is Record.__repr__ else repr(value)
+                pieces += (f"{', ' if k else ''}{name}=", shown)
+            pieces.append(")")
+            todo += reversed(pieces)
+        return "".join(parts)
 
     def __reduce__(self):
-        return (type(self), self._fields())
+        if self._ARITY:
+            return _rebuild, (self._shape(),)
+        return type(self), self._fields()
 
     def _immutable(self, name, *value):
         raise AttributeError(f"{type(self).__name__} is immutable")
 
     __setattr__ = __delattr__ = _immutable
+
+
+def _walk(record) -> list:
+    """``record`` and its descendants, each node before its children, its
+    last child first: the reverse is the post-order, left to right."""
+    nodes, todo = [], [record]
+    while todo:
+        node = todo.pop()
+        nodes.append(node)
+        if isinstance(node, Record) and node._ARITY:
+            todo += node._fields()[-node._ARITY :]
+    return nodes
+
+
+def _rebuild(shape: list):
+    """The record of :meth:`Record._shape` ``shape``, folded on one stack:
+    each node is its class called on its fields and its children."""
+    values = []
+    for cls, value in reversed(shape):
+        if cls is not None:
+            cut = len(values) - cls._ARITY
+            value = cls(*value, *values[cut:])
+            del values[cut:]
+        values.append(value)
+    return values[0]

@@ -36,8 +36,8 @@ from typing import Iterable, Literal, Sequence
 from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
 from .errors import (
-    DomainError, SpanError, UnknownBladeError, UnknownLabelError, lookup, read_json, read_numbers,
-    reals, require_finite,
+    DomainError, SpanError, UnknownBladeError, UnknownLabelError, instance, lookup, read_json,
+    read_numbers, reals, require_finite,
 )
 from .multivector import E0, Multivector, _wrap
 
@@ -193,12 +193,12 @@ class StructureCoords(Record):
 
 def to_structure_coords(m: Multivector) -> StructureCoords:
     """Unique coordinates of ``m`` over the structure elements (exact)."""
-    return StructureCoords._trusted(_to_structure(m._c))
+    return StructureCoords._trusted(_to_structure(instance(m, Multivector, "m")._c))
 
 
 def from_structure_coords(c: StructureCoords) -> Multivector:
     """Exact inverse of :func:`to_structure_coords`."""
-    return _wrap(_from_structure(c.values))
+    return _wrap(_from_structure(instance(c, StructureCoords, "c").values))
 
 
 class ByteSignature(Record):
@@ -221,6 +221,7 @@ class ByteSignature(Record):
         return cls(*(1 if ch == "+" else -1 for ch in text))
 
     def hamming(self, other: "ByteSignature") -> int:
+        other = instance(other, ByteSignature, "other")
         return sum(
             a != b
             for a, b in zip((self.s1, self.s2, self.s3), (other.s1, other.s2, other.s3))
@@ -229,6 +230,7 @@ class ByteSignature(Record):
 
 def byte_signature_to_blade(s: ByteSignature) -> Multivector:
     """Evaluate the three-bit product (P1 +- N1)(P2 +- N2)(P3 +- N3)."""
+    s = instance(s, ByteSignature, "s")
     return _ordered(_SIGNED_PAIRS, (s.s1, s.s2, s.s3))
 
 
@@ -299,7 +301,8 @@ _DIAG_KERNELS = {kind: _diag_kernel(kind) for kind in _DIAG_BASES}
 def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], float]:
     """Coefficients of the in-span part of ``m`` plus out-of-span residual
     norm, by :func:`math.hypot` (no overflow or underflow)."""
-    d1, d2, d3, d4, *rest = lookup(_DIAG_KERNELS, kind, "unknown diagonal basis")(m._c)
+    kernel = lookup(_DIAG_KERNELS, kind, "unknown diagonal basis")
+    d1, d2, d3, d4, *rest = kernel(instance(m, Multivector, "m")._c)
     return (d1, d2, d3, d4), math.hypot(*rest)
 
 

@@ -10,7 +10,7 @@ byte-deterministic.
 from __future__ import annotations
 
 from .clusters import LABELS, POLARITIES, StructureCoords, to_structure_coords
-from .errors import lookup
+from .errors import instance, lookup
 from .multivector import Multivector
 
 #: label -> octant signs along (axis1, axis2, axis3)
@@ -108,5 +108,6 @@ _RENDERERS = {"ascii": render_ascii, "svg": render_svg}
 def render_cube(m: Multivector | StructureCoords, format: str = "ascii") -> str:
     """Draw the structure coordinates of ``m``, or ``m`` if it is
     structure coordinates, on the unit cube."""
+    m = instance(m, (Multivector, StructureCoords), "m")
     coords = m if isinstance(m, StructureCoords) else to_structure_coords(m)
     return lookup(_RENDERERS, format, "unsupported cube format")(coords)

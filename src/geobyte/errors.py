@@ -84,12 +84,13 @@ def lookup(table, key, what: str, error: type = DomainError):
         raise error(f"{what} {_shown(key)}") from None
 
 
-def instance(x, cls: type, name: str):
-    """``x`` if it is a ``cls``; :class:`TypeError` naming the parameter
-    ``name`` and the type of ``x`` otherwise."""
+def instance(x, cls: type | tuple[type, ...], name: str):
+    """``x`` if it is a ``cls`` (one of them, for a tuple); :class:`TypeError`
+    naming the parameter ``name``, the classes and the type of ``x`` otherwise."""
     if isinstance(x, cls):
         return x
-    raise TypeError(f"{name} must be a {cls.__name__}, got {type(x).__name__}")
+    names = " or ".join(c.__name__ for c in (cls if isinstance(cls, tuple) else (cls,)))
+    raise TypeError(f"{name} must be a {names}, got {type(x).__name__}")
 
 
 def read_json(obj, keys: tuple[str, ...], what: str) -> list:

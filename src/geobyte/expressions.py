@@ -37,9 +37,9 @@ A number written with an exponent is one token, so "2e12" is the number
 2e12; write "2*e12" for twice the blade.  A NUMBER must be finite and its
 denominator nonzero.  Parentheses, function calls and unary minus together
 nest at most MAX_DEPTH levels deep.  Neither the parser, :func:`evaluate`
-nor a tree's ``==``, ``hash`` and ``repr`` recurse, so none of them needs
-such a cap; it stays so that a text over the cap keeps its error and its
-offset.
+nor a tree's ``==``, ``hash``, ``repr``, pickling and copying recurse, so
+none of them needs such a cap; it stays so that a text over the cap keeps
+its error and its offset.
 """
 
 from __future__ import annotations
@@ -50,9 +50,9 @@ import re
 from typing import Union
 
 from ._kernels import BLADE_NAMES, gp
-from ._record import Record
+from ._record import Record, _walk
 from .clusters import LABELS, N1, N2, N3, P1, P2, P3, structure_element
-from .errors import DomainError, ParseError, lookup, real
+from .errors import DomainError, ParseError, instance, lookup, real
 from .multivector import (
     E123 as _I, Multivector, _BASIS, _ZERO, _add, _clifford_conjugation, _grade_involution,
     _neg, _reversion, _sub, _wrap,
@@ -61,83 +61,37 @@ from .multivector import (
 # -- AST ---------------------------------------------------------------
 
 
-class _Tree(Record):
-    """Base of the AST nodes; the last ``_ARITY`` fields of a node are its
-    children.  ``==``, ``hash`` and ``repr`` read a tree through
-    :func:`_walk` or an explicit stack of their own, so a tree of any depth
-    or chain length costs them no recursion; each gives what the generic
-    :class:`Record` method gives."""
-
-    __slots__ = ()
-    _ARITY = 0
-
-    def _shape(self) -> list:
-        """Each node of the tree in :func:`_walk` order, as its class and
-        its fields other than the children; a child that is no node as
-        itself.  The classes fix where each node's children start, so
-        equal shapes are equal trees."""
-        return [
-            (type(n), n._fields()[: len(n._FIELDS) - n._ARITY])
-            if isinstance(n, _Tree) else (None, n)
-            for n in _walk(self)
-        ]
-
-    def __eq__(self, other):
-        if type(other) is not type(self):
-            return NotImplemented
-        return self._shape() == other._shape()
-
-    def __hash__(self):
-        return hash(tuple(self._shape()))
-
-    def __repr__(self):
-        parts, todo = [], [self]  # ``todo``: nodes, and text already formatted
-        while todo:
-            item = todo.pop()
-            if not isinstance(item, _Tree):
-                parts.append(item)
-                continue
-            pieces = [f"{type(item).__name__}("]
-            for k, name in enumerate(item._FIELDS):
-                value = getattr(item, name)
-                shown = value if isinstance(value, _Tree) else repr(value)
-                pieces += (f"{', ' if k else ''}{name}=", shown)
-            pieces.append(")")
-            todo += reversed(pieces)
-        return "".join(parts)
-
-
-class Literal(_Tree):
+class Literal(Record):
     """A number; ``value`` is a float."""
 
     __slots__ = ("value",)
 
 
-class Imaginary(_Tree):
+class Imaginary(Record):
     __slots__ = ()
 
 
-class Const(_Tree):
+class Const(Record):
     """A named constant; ``name`` is a str."""
 
     __slots__ = ("name",)
 
 
-class Neg(_Tree):
+class Neg(Record):
     """Negation of the Expr ``child``."""
 
     __slots__ = ("child",)
     _ARITY = 1
 
 
-class Func(_Tree):
+class Func(Record):
     """Function ``name`` (str) applied to the Expr ``child``."""
 
     __slots__ = ("name", "child")
     _ARITY = 1
 
 
-class BinOp(_Tree):
+class BinOp(Record):
     """``op`` ("+", "-" or "*") applied to the Exprs ``left`` and ``right``."""
 
     __slots__ = ("op", "left", "right")
@@ -146,19 +100,6 @@ class BinOp(_Tree):
 
 Expr = Union[Literal, Imaginary, Const, Neg, Func, BinOp]
 _Node = Union[Expr, tuple]  # what a parser's builders return
-
-
-def _walk(e) -> list:
-    """``e`` and everything below it, each node before its children and
-    its last child first, so the reverse is the post-order left to right;
-    one explicit stack, so any depth or chain length costs no recursion."""
-    nodes, todo = [], [e]
-    while todo:
-        node = todo.pop()
-        nodes.append(node)
-        if isinstance(node, _Tree) and node._ARITY:
-            todo += node._fields()[-node._ARITY :]
-    return nodes
 
 
 # -- operations and constants ----------------------------------------
@@ -379,7 +320,7 @@ def evaluate(e: Expr) -> Multivector:
         elif isinstance(node, Const):
             values.append(lookup(_CONSTANTS, node.name, "unknown constant")._c)
         else:
-            raise TypeError(f"not an expression node: {node!r}")
+            raise TypeError(f"e must be a tree of expression nodes, got {node!r}")
     return _wrap(values[0])
 
 
@@ -395,7 +336,7 @@ def evaluate_text(text: str) -> Multivector:
 def format_expression(m: Multivector) -> str:
     """Render a multivector in re-parseable expression syntax."""
     parts: list[tuple[str, str]] = []
-    for name, v in zip(BLADE_NAMES, m._c):
+    for name, v in zip(BLADE_NAMES, instance(m, Multivector, "m")._c):
         if v == 0.0:
             continue
         sign = "-" if v < 0 else "+"

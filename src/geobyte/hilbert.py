@@ -76,7 +76,8 @@ class Spinor(Record):
 
     def __post_init__(self):
         by_variance = lookup(_ABSORB, self.ideal, "unknown ideal")
-        absorbed = _wrap(lookup(by_variance, self.variance, "unknown variance")(self.value._c))
+        kernel = lookup(by_variance, self.variance, "unknown variance")
+        absorbed = _wrap(kernel(instance(self.value, Multivector, "value")._c))
         if not absorbed.approx_eq(self.value, _ABSORB_TOL):
             off = (absorbed - self.value).norm()
             raise DomainError(

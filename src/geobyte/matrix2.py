@@ -20,7 +20,9 @@ import operator
 
 from ._kernels import BLADE_NAMES
 from ._record import Record, _set
-from .errors import DomainError, _shown, complexes, read_json, read_numbers, require_finite
+from .errors import (
+    DomainError, _shown, complexes, instance, read_json, read_numbers, require_finite,
+)
 from .multivector import Multivector, _wrap
 
 
@@ -100,7 +102,8 @@ class ComplexMatrix2(Record):
 
     def approx_eq(self, other: "ComplexMatrix2", tol: float) -> bool:
         """Every entry within ``tol`` in modulus; false when any is NaN."""
-        return all(abs(a - b) <= tol for a, b in zip(self._z, other._z))
+        z = instance(other, ComplexMatrix2, "other")._z
+        return all(abs(a - b) <= tol for a, b in zip(self._z, z))
 
     def det(self) -> complex:
         a, b, c, d = self._z
@@ -155,7 +158,8 @@ _IMAGE_ENTRIES = tuple(zip(*map(_blade_image, BLADE_NAMES)))
 
 def to_matrix(m: Multivector) -> ComplexMatrix2:
     """Linear extension of the generator map; an algebra homomorphism."""
-    return _matrix(tuple([sum(map(operator.mul, images, m._c)) for images in _IMAGE_ENTRIES]))
+    c = instance(m, Multivector, "m")._c
+    return _matrix(tuple([sum(map(operator.mul, images, c)) for images in _IMAGE_ENTRIES]))
 
 
 def _halved_traces(r11, i11, r12, i12, r21, i21, r22, i22) -> tuple[float, ...]:
@@ -180,7 +184,7 @@ def _halved_traces(r11, i11, r12, i12, r21, i21, r22, i22) -> tuple[float, ...]:
 
 def from_matrix(x: ComplexMatrix2) -> Multivector:
     """Exact inverse of :func:`to_matrix` via Pauli trace formulas."""
-    a11, a12, a21, a22 = x._z
+    a11, a12, a21, a22 = instance(x, ComplexMatrix2, "x")._z
     c = _halved_traces(a11.real, a11.imag, a12.real, a12.imag,
                        a21.real, a21.imag, a22.real, a22.imag)
     if not math.isfinite(sum(c)):
@@ -195,5 +199,5 @@ def from_matrix(x: ComplexMatrix2) -> Multivector:
 
 def adjoint(x: ComplexMatrix2) -> ComplexMatrix2:
     """Conjugate transpose; matches reversion under the blade map."""
-    a, b, c, d = x._z
+    a, b, c, d = instance(x, ComplexMatrix2, "x")._z
     return _matrix((a.conjugate(), c.conjugate(), b.conjugate(), d.conjugate()))

@@ -24,8 +24,8 @@ from typing import Iterable, Union
 from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
 from .errors import (
-    DomainError, UnknownBladeError, complexes, lookup, read_json, read_numbers, real, reals,
-    require_finite,
+    DomainError, UnknownBladeError, complexes, instance, lookup, read_json, read_numbers, real,
+    reals, require_finite,
 )
 
 Scalar = Union[int, float]
@@ -160,7 +160,7 @@ class Multivector(Record):
         when any difference is NaN."""
         if tol < 0:
             raise DomainError(f"tolerance must be nonnegative, got {tol!r}")
-        return all(abs(d) <= tol for d in _sub(self._c, other._c))
+        return all(abs(d) <= tol for d in _sub(self._c, instance(other, Multivector, "other")._c))
 
     def norm(self) -> float:
         """Euclidean norm of the coefficients, by :func:`math.hypot`: no overflow or underflow."""
@@ -217,7 +217,7 @@ _INVOLUTIONS = {kind: operator.methodcaller(kind) for kind in INVOLUTION_KINDS}
 
 def involution(kind: str, m: Multivector) -> Multivector:
     """Apply one of the three involutions by name."""
-    return lookup(_INVOLUTIONS, kind, "unknown involution")(m)
+    return lookup(_INVOLUTIONS, kind, "unknown involution")(instance(m, Multivector, "m"))
 
 
 def basis_element(name: str) -> Multivector:
@@ -226,7 +226,7 @@ def basis_element(name: str) -> Multivector:
 
 
 def geometric_product(m: Multivector, n: Multivector) -> Multivector:
-    return m * n
+    return instance(m, Multivector, "m") * instance(n, Multivector, "n")
 
 
 def linear_combine(terms: Iterable[tuple[Scalar, Multivector]]) -> Multivector:
@@ -238,11 +238,11 @@ def linear_combine(terms: Iterable[tuple[Scalar, Multivector]]) -> Multivector:
 
 
 def grade_project(m: Multivector, k: int) -> Multivector:
-    return m.grade_project(k)
+    return instance(m, Multivector, "m").grade_project(k)
 
 
 def approx_eq(m: Multivector, n: Multivector, tol: float) -> bool:
-    return m.approx_eq(n, tol)
+    return instance(m, Multivector, "m").approx_eq(instance(n, Multivector, "n"), tol)
 
 
 class ComplexScalar(Record):
@@ -279,5 +279,5 @@ def complex_multiply(z: Union[ComplexScalar, complex], m: Multivector) -> Multiv
     ``z`` is a :class:`ComplexScalar` or read by :meth:`ComplexScalar.from_complex`."""
     if not isinstance(z, ComplexScalar):
         z = ComplexScalar.from_complex(z)
-    return z.embed() * m
+    return z.embed() * instance(m, Multivector, "m")
 

@@ -100,7 +100,7 @@ class Quaternion(Record):
     __slots__ = ("_value",)
 
     def __init__(self, value: Multivector, require_unit: bool = True):
-        off = _off_grade_norm(value, (0, 2))
+        off = _off_grade_norm(instance(value, Multivector, "value"), (0, 2))
         if not (off <= _GRADE_TOL):
             raise DomainError(
                 f"quaternion must have zero grade-1 and grade-3 parts, got off-grade norm {off!r}"
@@ -165,6 +165,7 @@ def _axis_angle(aa: AxisAngle) -> tuple[float, float, float, float]:
     :func:`real`; :class:`DomainError` unless the axis is unit within
     tolerance and the angle is finite."""
     what = "axis-angle fields must be real numbers"
+    aa = instance(aa, AxisAngle, "aa")
     c1, c2, c3 = real(aa.c1, what), real(aa.c2, what), real(aa.c3, what)
     theta = real(aa.theta, what)
     n2 = c1 * c1 + c2 * c2 + c3 * c3  # ** would raise on overflow
@@ -220,6 +221,7 @@ def euler_rodrigues(q: Quaternion) -> EulerRodrigues:
 
 def quaternion_from_euler_rodrigues(er: EulerRodrigues) -> Quaternion:
     """Inverse of :func:`euler_rodrigues`."""
+    er = instance(er, EulerRodrigues, "er")
     return Quaternion(
         Multivector([er.rho, 0, 0, 0, -er.nu, -er.mu, er.lam, 0])
     )

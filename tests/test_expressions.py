@@ -1,9 +1,13 @@
 """Expression grammar: parsing, evaluation, printing, and the printed
 product identities expressed in expression syntax."""
 
+import copy
+import functools
 import math
+import pickle
 import random
 import struct
+import sys
 
 import pytest
 from hypothesis import example, given, settings
@@ -11,12 +15,14 @@ from hypothesis import strategies as st
 
 from geobyte import (
     Multivector,
+    Quaternion,
     basis_element,
     evaluate_text,
     format_expression,
     parse,
     paravector,
     structure_element,
+    to_matrix,
 )
 from geobyte._kernels import BLADE_NAMES
 from geobyte._record import Record
@@ -462,3 +468,49 @@ def test_chains_and_nests_of_100k_compare_hash_and_print_without_recursion():
         twin = Func("rev", twin) if k % 2 else Neg(twin)
     assert nest == twin and hash(nest) == hash(twin) and nest != Neg(twin)
     assert repr(nest) == "Func(name='rev', child=Neg(child=" * (n // 2) + "Literal(value=0.5)" + "))" * (n // 2)
+
+
+# -- pickling and copying trees deeper than the recursion limit ------------
+
+COPIES = {
+    "pickle": lambda x: pickle.loads(pickle.dumps(x)),
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+}
+
+
+@functools.cache
+def _long_trees():
+    """A parsed chain of 100k terms and a hand-built nest 100k levels deep."""
+    n = 100_000
+    nest = Literal(0.5)
+    for k in range(n):
+        nest = Func("rev", nest) if k % 2 else Neg(nest)
+    return parse("+".join(["e1"] * n)), nest
+
+
+@pytest.mark.parametrize("how", COPIES)
+def test_chains_and_nests_of_100k_pickle_and_copy_without_recursion(how):
+    limit = sys.getrecursionlimit()
+    for tree in _long_trees():
+        back = COPIES[how](tree)
+        assert type(back) is type(tree) and back is not tree and back == tree
+    assert sys.getrecursionlimit() == limit
+
+
+def test_a_tree_pickles_as_one_flat_list_and_a_leaf_as_its_constructor_call():
+    assert b"_rebuild" in pickle.dumps(parse("-e1"), protocol=0)
+    assert b"_rebuild" not in pickle.dumps(Literal(0.5), protocol=0)
+
+
+def test_a_value_with_methods_of_its_own_keeps_them_inside_a_tree():
+    q = Quaternion(Multivector([2, 0, 0, 0, 0, 0, 0, 0]), require_unit=False)
+    tree = BinOp("+", Neg(q), BinOp("*", to_matrix(E["e1"]), E["e12"]))
+    for how in COPIES.values():
+        back = how(tree)  # Quaternion(value) alone would reject the non-unit value
+        assert back == tree and repr(back) == repr(tree)
+    # a child Multivector compares by its own ==, so NaN is unequal to itself
+    c = (math.nan,) + (0.0,) * 7
+    assert BinOp("+", Multivector._trusted(c), Literal(1.0)) != BinOp(
+        "+", Multivector._trusted(c), Literal(1.0)
+    )
