@@ -1,7 +1,9 @@
-"""The geometric-product kernels over the 8 blade coefficients.
+"""The blade basis of G(3,0) and the product kernels over its coefficients.
 
-The blade multiplication table is derived once at import by
-counting inversions: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
+The basis is :data:`BLADE_TUPLES`, each blade's vector indices in storage
+order; :data:`BLADE_NAMES`, :data:`BLADE_GRADES` and :data:`INVOLUTIONS` are
+derived from it here, once.  The blade multiplication table is derived at
+import by counting inversions: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
 blade_i * blade_j = sign * blade_k.  Every product kernel is a partial
 evaluation of that one table, compiled by :func:`compile_kernel` into a
 straight-line function over plain 8-tuples of floats, the technique the
@@ -61,9 +63,15 @@ BLADE_TUPLES: tuple[tuple[int, ...], ...] = (
     (1, 3),
     (1, 2, 3),
 )
-BLADE_NAMES: tuple[str, ...] = (
-    "e0", "e1", "e2", "e3", "e12", "e23", "e13", "e123",
-)
+#: each blade's name, "e" and its indices ("e0" for the scalar), and grade
+BLADE_NAMES: tuple[str, ...] = tuple("e" + ("".join(map(str, t)) or "0") for t in BLADE_TUPLES)
+BLADE_GRADES: tuple[int, ...] = tuple(map(len, BLADE_TUPLES))
+#: involution -> the grades it negates: a k-blade's reversion makes k(k-1)/2
+#: swaps, its grade involution k sign flips, its Clifford conjugation both
+INVOLUTIONS: dict[str, tuple[int, ...]] = {
+    kind: tuple(k for k in range(4) if (k * (k - 1) // 2 * r + k * g) % 2)
+    for kind, r, g in (("reversion", 1, 0), ("grade_involution", 0, 1), ("clifford_conjugation", 1, 1))
+}
 BLADE_INDEX: dict[tuple[int, ...], int] = {t: i for i, t in enumerate(BLADE_TUPLES)}
 NAME_INDEX: dict[str, int] = {n: i for i, n in enumerate(BLADE_NAMES)}
 
@@ -78,19 +86,11 @@ def _blade_product(a: tuple[int, ...], b: tuple[int, ...]) -> tuple[int, tuple[i
     return (-1) ** sum(i > j for i in a for j in b), tuple(sorted(set(a) ^ set(b)))
 
 
-def _build_table() -> tuple[tuple[tuple[int, int], ...], ...]:
-    """T[i][j] = (k, sign) with blade_i * blade_j = sign * blade_k."""
-    table = []
-    for bi in BLADE_TUPLES:
-        row = []
-        for bj in BLADE_TUPLES:
-            sign, res = _blade_product(bi, bj)
-            row.append((BLADE_INDEX[res], sign))
-        table.append(tuple(row))
-    return tuple(table)
-
-
-PRODUCT_TABLE = _build_table()
+#: PRODUCT_TABLE[i][j] == (k, sign) with blade_i * blade_j = sign * blade_k
+PRODUCT_TABLE: tuple[tuple[tuple[int, int], ...], ...] = tuple(
+    tuple((BLADE_INDEX[res], sign) for sign, res in (_blade_product(a, b) for b in BLADE_TUPLES))
+    for a in BLADE_TUPLES
+)
 
 
 def compile_kernel(
@@ -128,9 +128,7 @@ def _factors(operand: Operand) -> list[tuple[int, str] | None]:
     source), where the source of a unit constant is empty."""
     if isinstance(operand[0], str):
         prefix, negated = operand
-        return [
-            (-1 if len(t) in negated else 1, f"{prefix}{i}") for i, t in enumerate(BLADE_TUPLES)
-        ]
+        return [(-1 if g in negated else 1, f"{prefix}{i}") for i, g in enumerate(BLADE_GRADES)]
     return [
         None if c == 0 else (1 if c > 0 else -1, "" if abs(c) == 1 else repr(abs(c)))
         for c in operand

@@ -1,9 +1,10 @@
 """Base of geobyte's immutable values.
 
 A record is a ``__slots__`` class whose fields are its slots, its bases'
-first (a string ``__slots__`` is one field).  It is equal only to a
-record of the same class with equal fields, hashable, shown like a
-dataclass (``Name(field=value, ...)``), and pickled and copied back
+first (a string ``__slots__`` is one field).  It is equal only to a record
+of the same class whose fields are equal one by one, a tuple field item by
+item, so a NaN field is unequal even to itself.  It is hashable, shown like
+a dataclass (``Name(field=value, ...)``), and pickled and copied back
 through its own constructor, so unpickling runs the same checks as
 construction.  Setting or deleting an attribute raises
 :class:`AttributeError`.
@@ -13,11 +14,11 @@ Creating a subclass compiles straight-line functions over its fields:
 them unchecked, for values whose invariant the caller has established; and,
 when the class declares fields and writes no ``__init__``, an ``__init__``
 that stores them and then calls ``self.__post_init__()``, the record's
-check, if it has one.  A class that
-converts its arguments writes its own ``__init__`` and stores with
-:data:`_set`.  Plain classes, because ``dataclasses`` and building frozen
-dataclasses were most of the package's import time; not ``NamedTuple``,
-whose records of different classes compare equal.
+check, if it has one.  A class that converts its arguments writes its own
+``__init__`` and stores with :data:`_set`.  Plain classes, because
+``dataclasses`` and building frozen dataclasses were most of the package's
+import time; not ``NamedTuple``, whose records of different classes
+compare equal.
 
 A subclass that adds fields below such a hand-written ``__init__`` keeps
 its conversion and checks: the generated ``__init__`` passes the inherited
@@ -29,10 +30,13 @@ add options after them) and appends its own fields.
 A record's last ``_ARITY`` fields are its children (the expression
 nodes').  ``==``, ``hash``, ``repr`` and pickling read it through one
 explicit-stack walk, :func:`_walk`, so no depth or chain length recurses;
-a value with methods of its own (a ``Multivector``) stands for itself.
-A record with children pickles as the flat list of its walk, which
-:func:`_rebuild` folds back through each node's constructor.
+a value with its own ``repr`` or pickling (a ``Multivector``'s repr)
+stands for itself there.  A record with children pickles as the flat list
+of its walk, which :func:`_rebuild` folds back through each node's
+constructor.
 """
+
+from operator import eq as _eq
 
 _set = object.__setattr__
 
@@ -80,24 +84,38 @@ class Record:
 
     def _shape(self) -> list:
         """Each value of :func:`_walk`: ``self`` and each record whose class
-        keeps the generic ``==`` and pickling as (class, fields other than
-        the children), any other value as (None, value).  Equal shapes are
-        equal trees."""
-        eq, reduce = Record.__eq__, Record.__reduce__
+        keeps the generic pickling as (class, fields other than the
+        children), any other value as (None, value)."""
         return [
             (type(n), n._fields()[: len(n._FIELDS) - n._ARITY])
-            if n is self or type(n).__eq__ is eq and type(n).__reduce__ is reduce
-            else (None, n)
+            if n is self or type(n).__reduce__ is Record.__reduce__ else (None, n)
             for n in _walk(self)
         ]
+
+    def _key(self) -> list:
+        """What ``==`` compares item by item and ``hash`` hashes: each pair of
+        :meth:`_shape` (of a flat record, its class and ``_fields()``), each
+        tuple in it opened into its length, as a 1-tuple, and its items, so a
+        NaN item is unequal to itself (``tuple ==`` would match it by identity)."""
+        key = []
+        for cls, values in self._shape() if self._ARITY else [(type(self), self._fields())]:
+            key.append(cls)
+            for v in values if cls else (values,):
+                if type(v) is tuple:
+                    key.append((len(v),))
+                    key += v
+                else:
+                    key.append(v)
+        return key
 
     def __eq__(self, other):
         if type(other) is not type(self):
             return NotImplemented
-        return self._shape() == other._shape()
+        mine, theirs = self._key(), other._key()
+        return len(mine) == len(theirs) and all(map(_eq, mine, theirs))
 
     def __hash__(self):
-        return hash(tuple(self._shape()))
+        return hash(tuple(self._key()))
 
     def __repr__(self):
         parts, todo = [], [self]  # ``todo``: records, and text already formatted

@@ -39,7 +39,7 @@ from .errors import (
     DomainError, SpanError, UnknownBladeError, UnknownLabelError, instance, lookup, read_json,
     read_numbers, reals, require_finite,
 )
-from .multivector import E0, Multivector, _wrap
+from .multivector import E0, Multivector, _tolerance, _wrap
 
 Polarity = Literal["positive", "negative"]
 
@@ -309,7 +309,7 @@ def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], 
 def decompose_diag(m: Multivector, kind: DiagKind, tol: float = 1e-12) -> tuple[float, ...]:
     """Coordinates of ``m`` over a diagonal family; error if out of span."""
     coeffs, residual = diag_projection(m, kind)
-    if not (residual <= tol):
+    if not (residual <= _tolerance(tol)):
         raise SpanError(
             f"multivector lies outside the {kind} span (residual {residual:g})",
             residual,

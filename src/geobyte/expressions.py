@@ -54,8 +54,7 @@ from ._record import Record, _walk
 from .clusters import LABELS, N1, N2, N3, P1, P2, P3, structure_element
 from .errors import DomainError, ParseError, instance, lookup, real
 from .multivector import (
-    E123 as _I, Multivector, _BASIS, _ZERO, _add, _clifford_conjugation, _grade_involution,
-    _neg, _reversion, _sub, _wrap,
+    E123 as _I, Multivector, _BASIS, _INVOLUTION_KERNELS, _ZERO, _add, _neg, _sub, _wrap,
 )
 
 # -- AST ---------------------------------------------------------------
@@ -104,12 +103,10 @@ _Node = Union[Expr, tuple]  # what a parser's builders return
 
 # -- operations and constants ----------------------------------------
 
+#: function name -> the involution it applies
+_FUNC_KINDS = {"rev": "reversion", "bar": "grade_involution", "conj": "clifford_conjugation"}
 #: function name -> its operation; the fold applies the kernel each calls
-_FUNC_IMPL = {
-    "rev": Multivector.reversion,
-    "bar": Multivector.grade_involution,
-    "conj": Multivector.clifford_conjugation,
-}
+_FUNC_IMPL = {name: getattr(Multivector, kind) for name, kind in _FUNC_KINDS.items()}
 #: constant name -> its value, read from the modules that derive them
 _CONSTANTS: dict[str, Multivector] = {
     **dict(zip(BLADE_NAMES, _BASIS)),
@@ -284,7 +281,7 @@ _AST_BUILD = (
 )
 _VALUE_BUILD = (
     {"i": _I._c, **{name: m._c for name, m in _CONSTANTS.items()}}, _scalar, _neg,
-    {"rev": _reversion, "bar": _grade_involution, "conj": _clifford_conjugation},
+    {name: _INVOLUTION_KERNELS[kind] for name, kind in _FUNC_KINDS.items()},
     {"+": _add, "-": _sub, "*": gp},
 )
 

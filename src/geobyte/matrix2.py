@@ -15,15 +15,16 @@ trusts its 4-tuple of complex.  numpy is imported only when
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 
-from ._kernels import BLADE_NAMES
+from ._kernels import BLADE_TUPLES
 from ._record import Record, _set
 from .errors import (
     DomainError, _shown, complexes, instance, read_json, read_numbers, require_finite,
 )
-from .multivector import Multivector, _wrap
+from .multivector import Multivector, _tolerance, _wrap
 
 
 class ComplexMatrix2(Record):
@@ -90,19 +91,9 @@ class ComplexMatrix2(Record):
             return _matrix(tuple([other * z for z in self._z]))
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, ComplexMatrix2):
-            return NotImplemented
-        # entrywise, so a NaN entry is unequal even to itself
-        return all(map(operator.eq, self._z, other._z))
-
-    def __hash__(self):
-        # complex hashing maps -0.0 and 0.0 together, as == does
-        return hash(self._z)
-
     def approx_eq(self, other: "ComplexMatrix2", tol: float) -> bool:
         """Every entry within ``tol`` in modulus; false when any is NaN."""
-        z = instance(other, ComplexMatrix2, "other")._z
+        z, tol = instance(other, ComplexMatrix2, "other")._z, _tolerance(tol)
         return all(abs(a - b) <= tol for a, b in zip(self._z, z))
 
     def det(self) -> complex:
@@ -140,20 +131,14 @@ def _matmul(x: tuple[complex, ...], y: tuple[complex, ...]) -> tuple[complex, ..
     return (a * e + b * g, a * f + b * h, c * e + d * g, c * f + d * h)
 
 
-_GENERATORS = {"e0": (1 + 0j, 0j, 0j, 1 + 0j), "e1": (0j, 1 + 0j, 1 + 0j, 0j),
-               "e2": (0j, -1j, 1j, 0j), "e3": (1 + 0j, 0j, 0j, -1 + 0j)}
-
-
-def _blade_image(name: str) -> tuple[complex, ...]:
-    m = _GENERATORS["e0"]
-    for ch in name[1:]:
-        m = _matmul(m, _GENERATORS["e" + ch])
-    return m
-
-
-# entry k of every blade image, in blade order.  Each part of an entry
-# sums exactly two nonzero terms, so the order fixes only a zero's sign.
-_IMAGE_ENTRIES = tuple(zip(*map(_blade_image, BLADE_NAMES)))
+#: the images of the generators e1, e2 and e3; e0's is the identity
+_GENERATORS = ((0j, 1 + 0j, 1 + 0j, 0j), (0j, -1j, 1j, 0j), (1 + 0j, 0j, 0j, -1 + 0j))
+_IDENTITY = (1 + 0j, 0j, 0j, 1 + 0j)
+# entry k of every blade image (its generators' product), in blade order.  Each
+# part of an entry sums exactly two nonzero terms, so the order fixes only a zero's sign.
+_IMAGE_ENTRIES = tuple(zip(*[
+    functools.reduce(_matmul, [_GENERATORS[i - 1] for i in t], _IDENTITY) for t in BLADE_TUPLES
+]))
 
 
 def to_matrix(m: Multivector) -> ComplexMatrix2:

@@ -6,12 +6,12 @@ is exactly representable, so identities not involving trigonometry hold
 with exact float equality.
 
 The public constructor, :meth:`Multivector.scalar`, the scalar operands of
-``*`` and ``/`` and the weights of :func:`linear_combine` convert what they
-are given once, by the number readers of :mod:`geobyte.errors`; every
-result computed here is built by :func:`_wrap` (``Multivector._trusted``),
-which trusts its 8-tuple of floats.  Products and the coefficient-wise
-maps are straight-line kernels generated by
-:func:`geobyte._kernels.compile_kernel`.
+``*`` and ``/``, the weights of :func:`linear_combine` and every tolerance
+(:func:`_tolerance`, for the whole package) convert what they are given
+once, by the number readers of :mod:`geobyte.errors`; every result computed
+here is built by :func:`_wrap` (``Multivector._trusted``), which trusts its
+8-tuple of floats.  Products and the coefficient-wise maps are straight-line
+kernels generated by :func:`geobyte._kernels.compile_kernel`.
 numpy is imported only when :attr:`Multivector.coeffs` is read.
 """
 
@@ -21,7 +21,7 @@ import math
 import operator
 from typing import Iterable, Union
 
-from ._kernels import BLADE_NAMES, BLADE_TUPLES, NAME_INDEX, compile_kernel, gp
+from ._kernels import BLADE_GRADES, BLADE_NAMES, INVOLUTIONS, NAME_INDEX, compile_kernel, gp
 from ._record import Record, _set
 from .errors import (
     DomainError, UnknownBladeError, complexes, instance, lookup, read_json, read_numbers, real,
@@ -29,9 +29,6 @@ from .errors import (
 )
 
 Scalar = Union[int, float]
-
-#: grade of each blade position, in storage order
-BLADE_GRADES: tuple[int, ...] = tuple(len(t) for t in BLADE_TUPLES)
 
 
 def _index(name: str) -> int:
@@ -43,6 +40,15 @@ def _index(name: str) -> int:
 def blade_grade(name: str) -> int:
     """Grade of a named basis blade ('e12' -> 2)."""
     return BLADE_GRADES[_index(name)]
+
+
+def _tolerance(tol) -> float:
+    """``tol`` read by :func:`real`; :class:`DomainError` naming it if it is NaN or negative."""
+    what = "a tolerance must be a nonnegative real number"
+    t = real(tol, what)
+    if not t >= 0:
+        raise DomainError(f"{what}, got {tol!r}")
+    return t
 
 
 def _map_kernel(name: str, vectors: tuple[str, ...], blade_expr, scalars=()):
@@ -59,9 +65,9 @@ _add = _map_kernel("add", ("a", "b"), lambda i: f"a{i} + b{i}")
 _sub = _map_kernel("sub", ("a", "b"), lambda i: f"a{i} - b{i}")
 _scale = _map_kernel("scale", ("a",), lambda i: f"a{i} * s", ("s",))
 _neg = _signs_kernel("neg", (0, 1, 2, 3))
-_reversion = _signs_kernel("reversion", (2, 3))
-_grade_involution = _signs_kernel("grade_involution", (1, 3))
-_clifford_conjugation = _signs_kernel("clifford_conjugation", (1, 2))
+#: involution -> its kernel
+_INVOLUTION_KERNELS = {kind: _signs_kernel(kind, negated) for kind, negated in INVOLUTIONS.items()}
+_reversion, _grade_involution, _clifford_conjugation = _INVOLUTION_KERNELS.values()
 #: grade -> the kernel keeping only that grade
 _GRADE_PARTS = {
     k: _map_kernel(f"grade{k}", ("a",), lambda i, k=k: f"a{i}" if BLADE_GRADES[i] == k else "0.0")
@@ -144,22 +150,10 @@ class Multivector(Record):
             return _wrap(tuple([x / d for x in self._c]))
         return NotImplemented
 
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, Multivector):
-            return NotImplemented
-        # elementwise, so a NaN coefficient is unequal even to itself
-        # (tuple == would short-circuit on the identical NaN object)
-        return all(map(operator.eq, self._c, other._c))
-
-    def __hash__(self):
-        # float hashing maps -0.0 and 0.0 together, as == does
-        return hash(self._c)
-
     def approx_eq(self, other: "Multivector", tol: float) -> bool:
         """Every absolute coefficient difference at most ``tol``; false
         when any difference is NaN."""
-        if tol < 0:
-            raise DomainError(f"tolerance must be nonnegative, got {tol!r}")
+        tol = _tolerance(tol)
         return all(abs(d) <= tol for d in _sub(self._c, instance(other, Multivector, "other")._c))
 
     def norm(self) -> float:
@@ -211,8 +205,7 @@ _BASIS = tuple(_wrap(_ZERO[:i] + (1.0,) + _ZERO[i + 1 :]) for i in range(8))
 E0, E1, E2, E3, E12, E23, E13, E123 = _BASIS
 
 
-INVOLUTION_KINDS = ("reversion", "grade_involution", "clifford_conjugation")
-_INVOLUTIONS = {kind: operator.methodcaller(kind) for kind in INVOLUTION_KINDS}
+_INVOLUTIONS = {kind: operator.methodcaller(kind) for kind in INVOLUTIONS}
 
 
 def involution(kind: str, m: Multivector) -> Multivector:
@@ -232,8 +225,14 @@ def geometric_product(m: Multivector, n: Multivector) -> Multivector:
 def linear_combine(terms: Iterable[tuple[Scalar, Multivector]]) -> Multivector:
     """Componentwise weighted sum of (scalar, multivector) pairs."""
     acc = _ZERO
-    for w, m in terms:
-        acc = _add(acc, _scale(m._c, real(w, "a linear_combine weight must be a real number")))
+    for term in terms:
+        try:
+            w, m = term
+        except (TypeError, ValueError):
+            what = "terms must be a (weight, Multivector) pair"
+            raise TypeError(f"{what}, got {type(term).__name__}") from None
+        c = instance(m, Multivector, "terms")._c
+        acc = _add(acc, _scale(c, real(w, "a linear_combine weight must be a real number")))
     return _wrap(acc)
 
 

@@ -51,11 +51,11 @@ import math
 import operator
 from typing import Callable
 
-from ._kernels import sandwich
+from ._kernels import BLADE_GRADES, INVOLUTIONS, sandwich
 from ._record import Record, _set
 from .clusters import LABELS, _signed_unit, structure_element, to_structure_coords
 from .errors import DomainError, instance, lookup, read_json, read_numbers, real, require_finite
-from .multivector import BLADE_GRADES, E0, Multivector, _wrap
+from .multivector import E0, Multivector, _wrap
 
 _UNIT_TOL = 1e-9
 _GRADE_TOL = 1e-12
@@ -229,9 +229,10 @@ def quaternion_from_euler_rodrigues(er: EulerRodrigues) -> Quaternion:
 
 #: the three sandwiches q * m * ~q, a * m * a and b * bar(m) * ~b on
 #: 8-tuples, each one generated kernel
-_rotate = sandwich("rotate", ("q", ()), ("m", ()), ("q", (2, 3)))
+_REV, _BAR = INVOLUTIONS["reversion"], INVOLUTIONS["grade_involution"]
+_rotate = sandwich("rotate", ("q", ()), ("m", ()), ("q", _REV))
 _reflect_line = sandwich("reflect_line", ("a", ()), ("m", ()), ("a", ()))
-_reflect_plane = sandwich("reflect_plane", ("b", ()), ("m", (1, 3)), ("b", (2, 3)))
+_reflect_plane = sandwich("reflect_plane", ("b", ()), ("m", _BAR), ("b", _REV))
 
 
 def rotate(m: Multivector, q: Quaternion) -> Multivector:

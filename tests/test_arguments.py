@@ -31,6 +31,7 @@ from geobyte import (
     from_structure_coords,
     grade_project,
     involution,
+    linear_combine,
     parse,
     project,
     quaternion_from_axis_angle,
@@ -217,6 +218,8 @@ SITES = {
                                  "ComplexMatrix2"),
     "ByteSignature.hamming": (lambda x: ByteSignature(1, 1, 1).hamming(x), "other",
                               "ByteSignature"),
+    "linear_combine multivector": (lambda x: linear_combine([(1.0, x)]), "terms", "Multivector"),
+    "linear_combine term": (lambda x: linear_combine([x]), "terms", r"\(weight, Multivector\) pair"),
 }
 
 
@@ -226,6 +229,12 @@ def test_a_wrong_class_argument_is_a_type_error_that_names_it(site, bad):
     call, name, classes = SITES[site]
     with pytest.raises(TypeError, match=rf"^{name} must be a {classes}, got {type(bad).__name__}$"):
         call(bad)
+
+
+@pytest.mark.parametrize("term", [(1, E1, 3), (1.0,), E1], ids=["three", "one", "Multivector"])
+def test_a_linear_combine_term_that_is_no_pair_is_a_type_error_that_names_terms(term):
+    with pytest.raises(TypeError, match=r"^terms must be a \(weight, Multivector\) pair, got "):
+        linear_combine([(1.0, E1), term])
 
 
 def test_involution_reads_its_kind_before_its_multivector():

@@ -34,6 +34,14 @@ def test_tables_consistent():
         assert sorted(table[j][i][0] for j in range(8)) == list(range(8))
 
 
+def test_blade_basis_tables():
+    assert _kernels.BLADE_NAMES == ("e0", "e1", "e2", "e3", "e12", "e23", "e13", "e123")
+    assert _kernels.BLADE_GRADES == (0, 1, 1, 1, 2, 2, 2, 3)
+    assert list(_kernels.INVOLUTIONS.items()) == [
+        ("reversion", (2, 3)), ("grade_involution", (1, 3)), ("clifford_conjugation", (1, 2)),
+    ]
+
+
 def _einsum_reference(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The product as a dense (8, 8, 8) sign tensor contracted by einsum."""
     tensor = np.zeros((8, 8, 8))

@@ -22,8 +22,10 @@ from geobyte import (
     Multivector,
     Spinor,
     StructureCoords,
+    approx_eq,
     basis_element,
     complex_multiply,
+    decompose_diag,
     grade_project,
     linear_combine,
     project,
@@ -46,6 +48,13 @@ from geobyte.transforms import (
 E1 = basis_element("e1")
 E12 = basis_element("e12")
 
+# the entry points that read a tolerance
+TOLERANCES = {
+    "Multivector.approx_eq tol": lambda x: E1.approx_eq(E1, x),
+    "approx_eq tol": lambda x: approx_eq(E1, E1, x),
+    "ComplexMatrix2.approx_eq tol": lambda x: to_matrix(E1).approx_eq(to_matrix(E1), x),
+    "decompose_diag tol": lambda x: decompose_diag(E1, "vector_diag", x),
+}
 # entry point -> a call that passes it the number under test
 ENTRY_POINTS = {
     "Multivector": lambda x: Multivector([x, 0, 0, 0, 0, 0, 0, 0]),
@@ -70,6 +79,7 @@ ENTRY_POINTS = {
     "spinor_from_components": lambda x: spinor_from_components(1, x),
     "complex_multiply": lambda x: complex_multiply(x, E1),
     "ComplexScalar.from_complex": lambda x: ComplexScalar.from_complex(x).embed(),
+    **TOLERANCES,
 }
 # a text operand of an operator is a foreign type, as for any number type
 TEXT_IS_A_TYPE_ERROR = {"m * x", "x * m", "m / x"}
@@ -104,6 +114,14 @@ def test_text_that_is_no_number(entry):
     with pytest.raises(DomainError) as info:
         ENTRY_POINTS[entry]("x")
     assert repr("x") in str(info.value)
+
+
+@pytest.mark.parametrize("tol", [math.nan, -1, -1e-300, "-0.5"])
+@pytest.mark.parametrize("entry", TOLERANCES)
+def test_a_nan_or_negative_tolerance_is_a_domain_error_that_names_it(entry, tol):
+    with pytest.raises(DomainError, match=r"^a tolerance must be a nonnegative real number, got ") as info:
+        TOLERANCES[entry](tol)
+    assert str(info.value).endswith(repr(tol))
 
 
 # entry points whose reader is ``complex``; the others read by ``float``

@@ -3,6 +3,7 @@ and copying, the same for each; unpickling runs the record's checks."""
 
 import copy
 import inspect
+import math
 import pickle
 
 import pytest
@@ -29,6 +30,8 @@ from geobyte import (
     reflect_line,
     reflect_plane,
     spinor_components,
+    to_matrix,
+    to_structure_coords,
 )
 from geobyte.clusters import N1, N3, P1, P3
 from geobyte.errors import DomainError
@@ -269,6 +272,36 @@ def test_subclass_fields_below_a_converting_constructor(cls, args, bad, monkeypa
 def test_subclass_of_multivector_stores_floats():
     rec = type("T", (Multivector,), {"__slots__": ("tag",)})([1] * 8, 0)
     assert rec._c == (1.0,) * 8 and all(type(x) is float for x in rec._c)
+
+
+# -- one equality rule for every record --------------------------------------
+
+_NAN = Multivector([math.nan] * 8)
+# class -> constructor arguments, and a value of the class that holds a NaN
+WITH_NAN = {
+    Multivector: (([1] * 8,), _NAN),
+    ComplexMatrix2: (([[1, 2j], [3, -4]],), to_matrix(_NAN)),
+    StructureCoords: ((range(8),), to_structure_coords(_NAN)),
+    ComplexScalar: ((1.5, -2.0), ComplexScalar(math.nan)),
+}
+
+
+@pytest.mark.parametrize("cls", WITH_NAN, ids=lambda c: c.__name__)
+def test_a_subclass_compares_and_hashes_its_own_fields(cls):
+    args, _ = WITH_NAN[cls]
+    tagged = type("T", (cls,), {"__slots__": ("tag",)})
+    rec = tagged(*args, 0)
+    assert rec == tagged(*args, 0) and hash(rec) == hash(tagged(*args, 0))
+    assert rec != tagged(*args, 1) and hash(rec) != hash(tagged(*args, 1))
+    assert cls(*args) != rec and rec != cls(*args)
+
+
+@pytest.mark.parametrize("cls", WITH_NAN, ids=lambda c: c.__name__)
+def test_a_nan_field_is_unequal_to_itself_and_to_its_copies(cls):
+    _, value = WITH_NAN[cls]
+    assert value != value and not value == value
+    for how in COPIES.values():
+        assert how(value) != value
 
 
 # -- each rejection names the value that broke its rule --------------------
