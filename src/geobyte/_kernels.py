@@ -1,8 +1,9 @@
 """The blade basis of G(3,0) and the product kernels over its coefficients.
 
 The basis is :data:`BLADE_TUPLES`, each blade's vector indices in storage
-order; :data:`BLADE_NAMES`, :data:`BLADE_GRADES` and :data:`INVOLUTIONS` are
-derived from it here, once.  The blade multiplication table is derived at
+order; :data:`BLADE_NAMES` and :data:`BLADE_GRADES` are derived from it
+here, once, and :data:`INVOLUTIONS` names the grades each involution
+negates.  The blade multiplication table is derived at
 import by counting inversions: ``PRODUCT_TABLE[i][j] == (k, sign)`` with
 blade_i * blade_j = sign * blade_k.  Every product kernel is a partial
 evaluation of that one table, compiled by :func:`compile_kernel` into a
@@ -69,8 +70,7 @@ BLADE_GRADES: tuple[int, ...] = tuple(map(len, BLADE_TUPLES))
 #: involution -> the grades it negates: a k-blade's reversion makes k(k-1)/2
 #: swaps, its grade involution k sign flips, its Clifford conjugation both
 INVOLUTIONS: dict[str, tuple[int, ...]] = {
-    kind: tuple(k for k in range(4) if (k * (k - 1) // 2 * r + k * g) % 2)
-    for kind, r, g in (("reversion", 1, 0), ("grade_involution", 0, 1), ("clifford_conjugation", 1, 1))
+    "reversion": (2, 3), "grade_involution": (1, 3), "clifford_conjugation": (1, 2)
 }
 BLADE_INDEX: dict[tuple[int, ...], int] = {t: i for i, t in enumerate(BLADE_TUPLES)}
 NAME_INDEX: dict[str, int] = {n: i for i, n in enumerate(BLADE_NAMES)}

@@ -94,11 +94,11 @@ class Record:
 
     def _key(self) -> list:
         """What ``==`` compares item by item and ``hash`` hashes: each pair of
-        :meth:`_shape` (of a flat record, its class and ``_fields()``), each
-        tuple in it opened into its length, as a 1-tuple, and its items, so a
-        NaN item is unequal to itself (``tuple ==`` would match it by identity)."""
+        :meth:`_shape`, each tuple in it opened into its length, as a 1-tuple,
+        and its items, so a NaN item is unequal to itself (``tuple ==`` would
+        match it by identity)."""
         key = []
-        for cls, values in self._shape() if self._ARITY else [(type(self), self._fields())]:
+        for cls, values in self._shape():
             key.append(cls)
             for v in values if cls else (values,):
                 if type(v) is tuple:

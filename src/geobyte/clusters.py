@@ -37,9 +37,9 @@ from ._kernels import BLADE_NAMES, compile_kernel
 from ._record import Record, _set
 from .errors import (
     DomainError, SpanError, UnknownBladeError, UnknownLabelError, instance, lookup, read_json,
-    read_numbers, reals, require_finite,
+    read_numbers, reals, require_finite, tolerance,
 )
-from .multivector import E0, Multivector, _tolerance, _wrap
+from .multivector import E0, Multivector, _wrap
 
 Polarity = Literal["positive", "negative"]
 
@@ -309,7 +309,7 @@ def diag_projection(m: Multivector, kind: DiagKind) -> tuple[tuple[float, ...], 
 def decompose_diag(m: Multivector, kind: DiagKind, tol: float = 1e-12) -> tuple[float, ...]:
     """Coordinates of ``m`` over a diagonal family; error if out of span."""
     coeffs, residual = diag_projection(m, kind)
-    if not (residual <= _tolerance(tol)):
+    if not (residual <= tolerance(tol)):
         raise SpanError(
             f"multivector lies outside the {kind} span (residual {residual:g})",
             residual,

@@ -2,8 +2,8 @@
 outside input: :func:`lookup`, of a name against a finite domain (each is a
 key of a table); :func:`instance`, of an argument's class; :func:`read_json`,
 of a JSON object's keys, with :func:`read_numbers` for its numbers; and the
-number readers :func:`real`, :func:`reals` (with :func:`require_finite` on
-top) and :func:`complexes`.
+number readers :func:`real` (with :func:`tolerance` on top), :func:`reals`
+(with :func:`require_finite` on top) and :func:`complexes`.
 A number is what ``float`` (``complex``) can represent: other text and an
 int too large for a double are a :class:`DomainError` that names them, a
 value of the wrong type a :class:`TypeError`.  What a reader returns is
@@ -123,6 +123,15 @@ def real(x, what: str) -> float:
         return float(x)
     except (ValueError, OverflowError):
         raise DomainError(f"{what}, got {_shown(x)}") from None
+
+
+def tolerance(tol) -> float:
+    """``tol`` read by :func:`real`; :class:`DomainError` naming it if it is NaN or negative."""
+    what = "a tolerance must be a nonnegative real number"
+    t = real(tol, what)
+    if not t >= 0:
+        raise DomainError(f"{what}, got {tol!r}")
+    return t
 
 
 def reals(values, what: str, n: int | None = None) -> tuple[float, ...]:

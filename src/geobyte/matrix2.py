@@ -22,9 +22,9 @@ import operator
 from ._kernels import BLADE_TUPLES
 from ._record import Record, _set
 from .errors import (
-    DomainError, _shown, complexes, instance, read_json, read_numbers, require_finite,
+    DomainError, _shown, complexes, instance, read_json, read_numbers, require_finite, tolerance,
 )
-from .multivector import Multivector, _tolerance, _wrap
+from .multivector import Multivector, _wrap
 
 
 class ComplexMatrix2(Record):
@@ -93,7 +93,7 @@ class ComplexMatrix2(Record):
 
     def approx_eq(self, other: "ComplexMatrix2", tol: float) -> bool:
         """Every entry within ``tol`` in modulus; false when any is NaN."""
-        z, tol = instance(other, ComplexMatrix2, "other")._z, _tolerance(tol)
+        z, tol = instance(other, ComplexMatrix2, "other")._z, tolerance(tol)
         return all(abs(a - b) <= tol for a, b in zip(self._z, z))
 
     def det(self) -> complex:

@@ -7,12 +7,12 @@ with exact float equality.
 
 The public constructor, :meth:`Multivector.scalar`, the scalar operands of
 ``*`` and ``/``, the weights of :func:`linear_combine` and every tolerance
-(:func:`_tolerance`, for the whole package) convert what they are given
-once, by the number readers of :mod:`geobyte.errors`; every result computed
-here is built by :func:`_wrap` (``Multivector._trusted``), which trusts its
-8-tuple of floats.  Products and the coefficient-wise maps are straight-line
-kernels generated by :func:`geobyte._kernels.compile_kernel`.
-numpy is imported only when :attr:`Multivector.coeffs` is read.
+convert what they are given once, by the number readers of
+:mod:`geobyte.errors`; every result computed here is built by :func:`_wrap`
+(``Multivector._trusted``), which trusts its 8-tuple of floats.  Products
+and the coefficient-wise maps are straight-line kernels generated by
+:func:`geobyte._kernels.compile_kernel`.  numpy is imported only when
+:attr:`Multivector.coeffs` is read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from ._kernels import BLADE_GRADES, BLADE_NAMES, INVOLUTIONS, NAME_INDEX, compil
 from ._record import Record, _set
 from .errors import (
     DomainError, UnknownBladeError, complexes, instance, lookup, read_json, read_numbers, real,
-    reals, require_finite,
+    reals, require_finite, tolerance,
 )
 
 Scalar = Union[int, float]
@@ -40,15 +40,6 @@ def _index(name: str) -> int:
 def blade_grade(name: str) -> int:
     """Grade of a named basis blade ('e12' -> 2)."""
     return BLADE_GRADES[_index(name)]
-
-
-def _tolerance(tol) -> float:
-    """``tol`` read by :func:`real`; :class:`DomainError` naming it if it is NaN or negative."""
-    what = "a tolerance must be a nonnegative real number"
-    t = real(tol, what)
-    if not t >= 0:
-        raise DomainError(f"{what}, got {tol!r}")
-    return t
 
 
 def _map_kernel(name: str, vectors: tuple[str, ...], blade_expr, scalars=()):
@@ -67,7 +58,6 @@ _scale = _map_kernel("scale", ("a",), lambda i: f"a{i} * s", ("s",))
 _neg = _signs_kernel("neg", (0, 1, 2, 3))
 #: involution -> its kernel
 _INVOLUTION_KERNELS = {kind: _signs_kernel(kind, negated) for kind, negated in INVOLUTIONS.items()}
-_reversion, _grade_involution, _clifford_conjugation = _INVOLUTION_KERNELS.values()
 #: grade -> the kernel keeping only that grade
 _GRADE_PARTS = {
     k: _map_kernel(f"grade{k}", ("a",), lambda i, k=k: f"a{i}" if BLADE_GRADES[i] == k else "0.0")
@@ -153,7 +143,7 @@ class Multivector(Record):
     def approx_eq(self, other: "Multivector", tol: float) -> bool:
         """Every absolute coefficient difference at most ``tol``; false
         when any difference is NaN."""
-        tol = _tolerance(tol)
+        tol = tolerance(tol)
         return all(abs(d) <= tol for d in _sub(self._c, instance(other, Multivector, "other")._c))
 
     def norm(self) -> float:
@@ -168,15 +158,15 @@ class Multivector(Record):
 
     def reversion(self) -> "Multivector":
         """Reverse the order of vector factors: grades 2 and 3 negate."""
-        return _wrap(_reversion(self._c))
+        return _wrap(_INVOLUTION_KERNELS["reversion"](self._c))
 
     def grade_involution(self) -> "Multivector":
         """Space reversion (overline): grades 1 and 3 negate."""
-        return _wrap(_grade_involution(self._c))
+        return _wrap(_INVOLUTION_KERNELS["grade_involution"](self._c))
 
     def clifford_conjugation(self) -> "Multivector":
         """Composite of reversion and grade involution: grades 1, 2 negate."""
-        return _wrap(_clifford_conjugation(self._c))
+        return _wrap(_INVOLUTION_KERNELS["clifford_conjugation"](self._c))
 
     # -- serialization ------------------------------------------------
 
